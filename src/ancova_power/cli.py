@@ -23,52 +23,64 @@ from .simulate import SimConfig, run_campaign
 __all__ = ["main", "build_parser"]
 
 
-def _fmt(value) -> str:
+_MAX_CURVE_POINTS = 100_001
+
+
+def _fmt(key: str, value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ArithmeticError(f"{key} is {value}, which has no JSON or CSV form")
         return format(value, ".17g")
     return str(value)
 
 
-def _json_value(value) -> str:
+def _json_value(key: str, value) -> str:
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
+        return "[" + ", ".join(_json_value(key, v) for v in value) + "]"
     if isinstance(value, dict):
-        return "{" + ", ".join(f'"{k}": {_json_value(v)}' for k, v in value.items()) + "}"
+        return "{" + ", ".join(f'"{k}": {_json_value(k, v)}' for k, v in value.items()) + "}"
     if isinstance(value, str):
         return f'"{value}"'
-    return _fmt(value)
+    return _fmt(key, value)
+
+
+def _csv_line(items) -> str:
+    return ",".join(_fmt(k, v) for k, v in items) + "\n"
 
 
 def _emit(doc: dict, fmt: str, rows_key: "str | None" = None) -> None:
-    """Write the result document to stdout.
+    """Write the result document to stdout, all at once.
 
     JSON: the dict as a single object. CSV: one header + one data row for
     scalar documents; if ``rows_key`` names a list of row dicts, those
     become the table and the remaining scalar entries repeat per row.
+    A non-finite number raises ArithmeticError before anything is written.
     """
     if fmt == "json":
-        sys.stdout.write(_json_value(doc) + "\n")
-        return
-
-    if rows_key is None:
-        keys = list(doc)
-        sys.stdout.write(",".join(keys) + "\n")
-        sys.stdout.write(",".join(_fmt(doc[k]) for k in keys) + "\n")
-        return
-
-    rows = doc[rows_key]
-    scalars = {k: v for k, v in doc.items() if k != rows_key}
-    keys = list(rows[0]) + list(scalars)
-    sys.stdout.write(",".join(keys) + "\n")
-    for row in rows:
-        values = [_fmt(v) for v in row.values()] + [_fmt(v) for v in scalars.values()]
-        sys.stdout.write(",".join(values) + "\n")
+        text = _json_value("", doc) + "\n"
+    elif rows_key is None:
+        text = ",".join(doc) + "\n" + _csv_line(doc.items())
+    else:
+        rows = doc[rows_key]
+        scalars = {k: v for k, v in doc.items() if k != rows_key}
+        text = ",".join(list(rows[0]) + list(scalars)) + "\n"
+        text += "".join(_csv_line([*row.items(), *scalars.items()]) for row in rows)
+    sys.stdout.write(text)
 
 
-def _add_format_flag(sub: argparse.ArgumentParser) -> None:
+def _even_int(text: str) -> int:
+    if int(text) % 2 != 0:
+        raise argparse.ArgumentTypeError(f"must be even for an exact 1:1 split, got {text}")
+    return int(text)
+
+
+def _add_output(sub: argparse.ArgumentParser, handler, rows_key=None) -> None:
+    """The --format flag, and the handler that maps parsed args to the result
+    document; ``rows_key`` names its list of rows that CSV tabulates."""
     sub.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.set_defaults(handler=handler, rows_key=rows_key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--exact", action="store_true",
                    help="also report the two-term power and the dropped tail term")
-    _add_format_flag(p)
+    _add_output(p, _cmd_power)
 
     p = commands.add_parser("sample-size", help="total N for a target unadjusted power")
     p.add_argument("--alpha", type=float, default=0.05)
@@ -95,28 +107,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--round-even", action="store_true",
                    help="also report the smallest even integer >= N")
-    _add_format_flag(p)
+    _add_output(p, _cmd_sample_size)
 
     p = commands.add_parser("ratio", help="adjusted/unadjusted power ratio at one r")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--power", type=float, default=0.80)
     p.add_argument("--r", type=float, required=True)
-    _add_format_flag(p)
+    _add_output(p, _cmd_ratio)
 
     p = commands.add_parser("curve", help="power-ratio table over a grid of r")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--power", type=float, default=0.80)
     p.add_argument("--r-max", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    _add_format_flag(p)
+    _add_output(p, _cmd_curve, rows_key="rows")
 
     p = commands.add_parser("expand", help="series expansion parameters and coefficients")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--power", type=float, default=0.80)
-    _add_format_flag(p)
+    _add_output(p, _cmd_expand)
 
     p = commands.add_parser("simulate", help="Monte Carlo campaign vs analytic power")
-    p.add_argument("--n", type=int, required=True, help="total sample size, must be even")
+    p.add_argument("--n", type=_even_int, required=True, help="total sample size, must be even")
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--rho", type=float, default=0.0)
@@ -125,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test", choices=("z", "t"), default="t")
     p.add_argument("--adjust", choices=("true", "false"), default="true")
-    _add_format_flag(p)
+    _add_output(p, _cmd_simulate)
 
     return parser
 
@@ -167,11 +179,15 @@ def _cmd_ratio(args) -> dict:
 
 
 def _cmd_curve(args) -> dict:
-    if args.step <= 0.0:
-        raise DomainError(f"--step must be positive, got {args.step}")
+    if not (0.0 < args.step < math.inf):
+        raise DomainError(f"--step must be positive and finite, got {args.step}")
     if not (0.0 <= args.r_max < 1.0):
         raise DomainError(f"--r-max must lie in [0, 1), got {args.r_max}")
-    grid = [i * args.step for i in range(int(math.floor(args.r_max / args.step + 1e-9)) + 1)]
+    last = args.r_max / args.step + 1e-9
+    if not last < _MAX_CURVE_POINTS:
+        raise DomainError(f"--step {args.step} gives more than {_MAX_CURVE_POINTS} grid "
+                          f"points up to --r-max {args.r_max}; use a larger --step")
+    grid = [i * args.step for i in range(int(math.floor(last)) + 1)]
     report = pe.ratio_report(args.alpha, args.power, grid)
     rows = [
         {"r": r, "exact_ratio": e, "series_ratio": s, "thumb_ratio": t}
@@ -197,9 +213,7 @@ def _cmd_expand(args) -> dict:
     }
 
 
-def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
-    if args.n % 2 != 0:
-        parser.error(f"--n must be even for an exact 1:1 split, got {args.n}")
+def _cmd_simulate(args) -> dict:
     config = SimConfig(
         n_subjects=args.n, tau=args.tau, sigma=args.sigma, rho=args.rho,
         alpha=args.alpha, n_reps=args.reps, seed=args.seed,
@@ -222,25 +236,12 @@ def _cmd_simulate(args, parser: argparse.ArgumentParser) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "power":
-            doc, rows_key = _cmd_power(args), None
-        elif args.command == "sample-size":
-            doc, rows_key = _cmd_sample_size(args), None
-        elif args.command == "ratio":
-            doc, rows_key = _cmd_ratio(args), None
-        elif args.command == "curve":
-            doc, rows_key = _cmd_curve(args), "rows"
-        elif args.command == "expand":
-            doc, rows_key = _cmd_expand(args), None
-        else:
-            doc, rows_key = _cmd_simulate(args, parser), None
+        _emit(args.handler(args), args.format, rows_key=args.rows_key)
     except (DomainError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(doc, args.format, rows_key=rows_key)
     return 0
 
 

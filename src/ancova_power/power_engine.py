@@ -78,10 +78,10 @@ class TrialDesign:
         _check_probability(self.alpha, "alpha")
         if not math.isfinite(self.tau):
             raise DomainError(f"tau must be finite, got {self.tau}")
-        if not (self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if not (self.n_total > 0.0):
-            raise DomainError(f"n_total must be positive, got {self.n_total}")
+        if not (0.0 < self.sigma < math.inf):
+            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        if not (0.0 < self.n_total < math.inf):
+            raise DomainError(f"n_total must be positive and finite, got {self.n_total}")
         _check_correlation(self.r)
 
 
@@ -144,18 +144,18 @@ def required_sample_size(alpha: float, target_power: float,
 
     N = (4*sigma^2/tau^2) * (Phi^-1(p) - Phi^-1(alpha/2))^2, continuous.
     """
-    _check_probability(alpha, "alpha")
-    _check_probability(target_power, "target_power")
     if tau == 0.0 or not math.isfinite(tau):
         raise DomainError("tau must be nonzero and finite; no finite N exists for tau = 0")
-    if not (sigma > 0.0):
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    params = expansion_params(alpha, target_power)
-    if params.b <= 0.0:
-        raise DomainError(
-            f"target_power must exceed alpha/2 (got power {target_power}, alpha {alpha})"
-        )
-    return 4.0 * sigma**2 / tau**2 * params.b**2
+    if not (0.0 < sigma < math.inf):
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    params = _reachable_params(alpha, target_power)
+    try:
+        n = 4.0 * sigma**2 / tau**2 * params.b**2
+    except ArithmeticError:  # sigma**2 overflows or tau**2 underflows to 0
+        n = math.inf
+    if not math.isfinite(n):
+        raise DomainError(f"tau = {tau} is too small for sigma = {sigma}: N is not finite")
+    return n
 
 
 def expansion_params(alpha: float, target_power: float) -> ExpansionParams:
@@ -167,15 +167,21 @@ def expansion_params(alpha: float, target_power: float) -> ExpansionParams:
     return ExpansionParams(a=a, b=b, target_power=target_power)
 
 
-def adjusted_power_at_fixed_n(alpha: float, target_power: float, r: float) -> float:
-    """Power of the adjusted analysis at the N that gives the unadjusted
-    analysis power ``target_power``: Phi(a + b/sqrt(1 - r^2))."""
-    _check_correlation(r)
+def _reachable_params(alpha: float, target_power: float) -> ExpansionParams:
+    """expansion_params, for a target power that some finite N reaches."""
     params = expansion_params(alpha, target_power)
     if params.b <= 0.0:
         raise DomainError(
             f"target_power must exceed alpha/2 (got power {target_power}, alpha {alpha})"
         )
+    return params
+
+
+def adjusted_power_at_fixed_n(alpha: float, target_power: float, r: float) -> float:
+    """Power of the adjusted analysis at the N that gives the unadjusted
+    analysis power ``target_power``: Phi(a + b/sqrt(1 - r^2))."""
+    _check_correlation(r)
+    params = _reachable_params(alpha, target_power)
     return std_normal_cdf(params.a + params.b / math.sqrt(1.0 - r * r))
 
 

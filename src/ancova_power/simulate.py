@@ -38,8 +38,8 @@ __all__ = [
 
 TEST_KINDS = ("wald_z", "student_t")
 
-# replications whose covariate has (numerically) zero variance cannot be
-# adjusted for and are skipped
+# replications whose covariate has (numerically) zero pooled within-arm
+# variance cannot be adjusted for and are skipped
 _COLLINEARITY_VARIANCE_FLOOR = 1e-12
 
 _CHUNK_REPS = 4096
@@ -60,23 +60,21 @@ class SimConfig:
     adjust: bool = True
 
     def __post_init__(self):
-        if self.n_subjects <= 0 or self.n_subjects % 2 != 0:
+        if self.n_subjects < 4 or self.n_subjects % 2 != 0:
             raise DomainError(
-                f"n_subjects must be a positive even integer (exact 1:1 split), "
-                f"got {self.n_subjects}"
+                f"n_subjects must be an even integer >= 4 (exact 1:1 split, at least "
+                f"one residual degree of freedom), got {self.n_subjects}"
             )
-        if not (self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
-        if not (self.rho * self.rho < 1.0):
-            raise DomainError(f"rho must satisfy rho^2 < 1, got {self.rho}")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.n_reps < 1:
             raise DomainError(f"n_reps must be >= 1, got {self.n_reps}")
         if not (0 <= self.seed < 2**64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.test_kind not in TEST_KINDS:
             raise DomainError(f"test_kind must be one of {TEST_KINDS}, got {self.test_kind!r}")
+        # alpha, tau, sigma and rho: the checks of the design the campaign
+        # simulates (run_campaign reports against it, with r = 0 if unadjusted)
+        TrialDesign(alpha=self.alpha, tau=self.tau, sigma=self.sigma,
+                    n_total=float(self.n_subjects), r=self.rho)
 
 
 @dataclass(frozen=True)
@@ -145,84 +143,74 @@ def generate_trial(config: SimConfig, rep_index: int) -> TrialData:
     return TrialData(treatment=treatment[0], covariate=covariate[0], outcome=outcome[0])
 
 
-def _fit_ancova_batch(treatment, covariate, outcome):
-    """OLS of outcome on (1, treatment, covariate) for each row.
+def _centre_within_arms(treatment, values, n1, n0):
+    """Centre each row of ``values`` within its arms, in place; returns the
+    per-row difference of arm means, treated minus control."""
+    s1 = (treatment * values).sum(axis=1)
+    m0 = (values.sum(axis=1) - s1) / n0
+    diff = s1 / n1 - m0
+    values -= m0[:, np.newaxis]
+    values -= treatment * diff[:, np.newaxis]
+    return diff
 
-    Solves the 3x3 normal equations batch-wise; returns per-row
-    (tau_hat, se_tau_hat, covariate sample variance).
+
+def _fit_batch(treatment, covariate, outcome, adjust: bool):
+    """Per-row fit of either analysis from within-arm moments: dy, dx are
+    differences of arm means, Syy, Sxy, Sxx sums of products centred within
+    arm (``covariate`` and ``outcome`` are centred in place).
+
+    Unadjusted: tau_hat = dy, se^2 = Syy/(n-2) * (1/n0 + 1/n1).
+    Adjusted (Frisch-Waugh): beta = Sxy/Sxx, tau_hat = dy - beta*dx,
+    se^2 = (Syy - beta*Sxy)/(n-3) * (1/n0 + 1/n1 + dx^2/Sxx).
+
+    Returns per-row (tau_hat, se_tau_hat, ok); ``ok`` is False where the
+    adjusted fit is collinear: pooled within-arm covariate variance
+    Sxx/(n-2) below the floor.
     """
-    b, n = outcome.shape
-    st = treatment.sum(axis=1)
-    sx = covariate.sum(axis=1)
-    stx = (treatment * covariate).sum(axis=1)
-    sxx = (covariate * covariate).sum(axis=1)
-    sy = outcome.sum(axis=1)
-    sty = (treatment * outcome).sum(axis=1)
-    sxy = (covariate * outcome).sum(axis=1)
-    syy = (outcome * outcome).sum(axis=1)
-
-    gram = np.empty((b, 3, 3))
-    gram[:, 0, 0] = n
-    gram[:, 0, 1] = gram[:, 1, 0] = st
-    gram[:, 0, 2] = gram[:, 2, 0] = sx
-    gram[:, 1, 1] = st  # treatment is 0/1 so sum(t^2) = sum(t)
-    gram[:, 1, 2] = gram[:, 2, 1] = stx
-    gram[:, 2, 2] = sxx
-    moments = np.stack([sy, sty, sxy], axis=1)
-
-    beta = np.linalg.solve(gram, moments[:, :, np.newaxis])[:, :, 0]
-    sse = np.maximum(syy - (beta * moments).sum(axis=1), 0.0)
-    resid_var = sse / (n - 3)
-    gram_inv = np.linalg.inv(gram)
-    se_tau = np.sqrt(resid_var * gram_inv[:, 1, 1])
-
-    cov_var = (sxx - sx * sx / n) / (n - 1)
-    return beta[:, 1], se_tau, cov_var
-
-
-def _fit_unadjusted_batch(treatment, outcome):
-    """Difference of arm means with pooled-variance standard error."""
-    b, n = outcome.shape
+    n = outcome.shape[1]
     n1 = treatment.sum(axis=1)
     n0 = n - n1
-    s1 = (treatment * outcome).sum(axis=1)
-    s0 = outcome.sum(axis=1) - s1
-    m1 = s1 / n1
-    m0 = s0 / n0
-    ss0 = ((1.0 - treatment) * (outcome - m0[:, None])**2).sum(axis=1)
-    ss1 = (treatment * (outcome - m1[:, None])**2).sum(axis=1)
-    pooled = np.maximum(ss0 + ss1, 0.0) / (n - 2)
-    se = np.sqrt(pooled * (1.0 / n0 + 1.0 / n1))
-    return m1 - m0, se
+    arm_weight = 1.0 / n0 + 1.0 / n1
+    dy = _centre_within_arms(treatment, outcome, n1, n0)
+    syy = np.einsum("ij,ij->i", outcome, outcome)
+    if not adjust:
+        return dy, np.sqrt(syy / (n - 2) * arm_weight), np.ones(len(dy), dtype=bool)
+
+    dx = _centre_within_arms(treatment, covariate, n1, n0)
+    sxx = np.einsum("ij,ij->i", covariate, covariate)
+    sxy = np.einsum("ij,ij->i", covariate, outcome)
+    ok = sxx / (n - 2) >= _COLLINEARITY_VARIANCE_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = sxy / sxx
+        sse = np.maximum(syy - beta * sxy, 0.0)
+        se = np.sqrt(sse / (n - 3) * (arm_weight + dx * dx / sxx))
+    return dy - beta * dx, se, ok
+
+
+def _fit_one(data: TrialData, adjust: bool) -> FitResult:
+    """``_fit_batch`` on one trial, on copies of its arrays."""
+    n1 = int(np.sum(data.treatment))
+    if n1 == 0 or n1 == len(data):
+        raise ValueError("dataset must contain both arms")
+    rows = (np.array(a, dtype=float, ndmin=2)
+            for a in (data.treatment, data.covariate, data.outcome))
+    tau_hat, se, ok = _fit_batch(*rows, adjust)
+    if not ok[0]:
+        raise np.linalg.LinAlgError(
+            "covariate has (numerically) zero variance within arms; design is collinear")
+    return FitResult(float(tau_hat[0]), float(se[0]), len(data) - (3 if adjust else 2))
 
 
 def fit_ancova(data: TrialData) -> FitResult:
     """OLS fit of the ANCOVA model; tau_hat is the treatment coefficient."""
-    _require_both_arms(data)
     if len(data) < 4:
         raise DomainError(f"need at least 4 rows to fit ANCOVA, got {len(data)}")
-    t = data.treatment[np.newaxis, :].astype(float)
-    x = data.covariate[np.newaxis, :].astype(float)
-    y = data.outcome[np.newaxis, :].astype(float)
-    if float(np.var(data.covariate, ddof=1)) < _COLLINEARITY_VARIANCE_FLOOR:
-        raise np.linalg.LinAlgError("covariate is (numerically) constant; design is collinear")
-    tau_hat, se, _ = _fit_ancova_batch(t, x, y)
-    return FitResult(float(tau_hat[0]), float(se[0]), len(data) - 3)
+    return _fit_one(data, adjust=True)
 
 
 def fit_unadjusted(data: TrialData) -> FitResult:
     """Two-sample difference of means with pooled-variance standard error."""
-    _require_both_arms(data)
-    t = data.treatment[np.newaxis, :].astype(float)
-    y = data.outcome[np.newaxis, :].astype(float)
-    tau_hat, se = _fit_unadjusted_batch(t, y)
-    return FitResult(float(tau_hat[0]), float(se[0]), len(data) - 2)
-
-
-def _require_both_arms(data: TrialData) -> None:
-    n1 = int(np.sum(data.treatment))
-    if n1 == 0 or n1 == len(data):
-        raise ValueError("dataset must contain both arms")
+    return _fit_one(data, adjust=False)
 
 
 def run_campaign(config: SimConfig) -> SimResult:
@@ -249,13 +237,7 @@ def run_campaign(config: SimConfig) -> SimResult:
         uniforms = np.stack([_rep_uniforms(config, r) for r in reps])
         treatment, covariate, outcome = _decode_trials(config, uniforms)
 
-        if config.adjust:
-            tau_hat, se, cov_var = _fit_ancova_batch(treatment, covariate, outcome)
-            ok = cov_var >= _COLLINEARITY_VARIANCE_FLOOR
-        else:
-            tau_hat, se = _fit_unadjusted_batch(treatment, outcome)
-            ok = np.ones(len(tau_hat), dtype=bool)
-
+        tau_hat, se, ok = _fit_batch(treatment, covariate, outcome, config.adjust)
         reject = ok & (np.abs(tau_hat) > critical * se)
         n_rejections += int(reject.sum())
         n_completed += int(ok.sum())

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ancova_power import cli
 from ancova_power.cli import main
 
 
@@ -179,3 +184,112 @@ class TestContracts:
         assert code == 1
         assert out == ""
         assert err != ""
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv, names", [
+        (["power", "--tau", "0.5", "--sigma", "inf", "--n", "126"], "sigma"),
+        (["power", "--tau", "0.5", "--sigma", "1", "--n", "inf"], "n_total"),
+        (["sample-size", "--tau", "1e-200", "--sigma", "1"], "tau"),
+        (["curve", "--r-max", "0.5", "--step", "1e-9"], "--step"),
+        (["curve", "--r-max", "0.5", "--step", "inf"], "--step"),
+        (["simulate", "--n", "126", "--tau", "nan", "--sigma", "1", "--reps", "10"], "tau"),
+        (["simulate", "--n", "2", "--tau", "0.5", "--sigma", "1", "--reps", "10"], "n_subjects"),
+        (["simulate", "--n", "126", "--tau", "0.5", "--sigma", "inf", "--reps", "10"], "sigma"),
+    ])
+    def test_bad_input_exits_1_before_compute(self, capsys, monkeypatch, argv, names):
+        def must_not_run(*args):
+            raise AssertionError("computation started on invalid input")
+
+        monkeypatch.setattr(cli, "run_campaign", must_not_run)
+        monkeypatch.setattr(cli.pe, "ratio_report", must_not_run)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert names in err
+
+    def test_non_finite_result_exits_1_with_nothing_on_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.pe, "power_ratio_series", lambda *args: math.inf)
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(capsys, "ratio", "--r", "0.5", "--format", fmt)
+            assert code == 1
+            assert out == ""
+            assert "series" in err
+
+
+# valid values for every real flag of every command, bounded values for the
+# integer flags of simulate (odd and too-small n, reps and seed out of range
+# included), booleans for switches
+_ALPHA, _POWER = st.floats(1e-3, 0.5), st.floats(0.3, 0.99)
+_FLAGS = {
+    "power": dict(alpha=_ALPHA, tau=st.floats(-3.0, 3.0), sigma=st.floats(1e-2, 10.0),
+                  n=st.floats(1.0, 1e4), r=st.floats(-0.99, 0.99), exact=st.booleans()),
+    "sample-size": dict(alpha=_ALPHA, power=_POWER, tau=st.floats(0.01, 3.0),
+                        sigma=st.floats(1e-2, 10.0), round_even=st.booleans()),
+    "ratio": dict(alpha=_ALPHA, power=_POWER, r=st.floats(-0.99, 0.99)),
+    "expand": dict(alpha=_ALPHA, power=_POWER),
+    "curve": dict(alpha=_ALPHA, power=_POWER, r_max=st.floats(0.0, 0.99),
+                  step=st.floats(0.01, 1.0)),
+    "simulate": dict(n=st.integers(-3, 20), tau=st.floats(-1.0, 1.0),
+                     sigma=st.floats(0.1, 10.0), rho=st.floats(-0.9, 0.9), alpha=_ALPHA,
+                     reps=st.integers(-1, 50), seed=st.integers(-1, 2**64),
+                     test=st.sampled_from(["z", "t"]),
+                     adjust=st.sampled_from(["true", "false"])),
+}
+_WORDS = {"true", "false", "z", "t"}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line with valid values, or with one value replaced by any
+    float at all (nan, inf, huge, tiny, negative); an integer flag given a
+    float is a usage error, so work stays bounded."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    values = {flag: draw(strategy) for flag, strategy in _FLAGS[command].items()}
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(values)))
+        values[flag] = draw(st.floats())
+    argv = [command]
+    for flag, value in values.items():
+        option = "--" + flag.replace("_", "-")
+        if value is True:
+            argv.append(option)
+        elif value is not False:
+            argv += [option, str(value)]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv"]))]
+
+
+def _assert_finite_document(text: str, fmt: str) -> None:
+    if fmt == "json":
+        def numbers(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                return [x for v in value for x in numbers(v)]
+            return [value] if isinstance(value, (int, float)) else []
+
+        doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in {text}"))
+        assert all(math.isfinite(x) for x in numbers(doc)), text
+        return
+    header, *rows = text.strip("\n").split("\n")
+    assert rows, text
+    for row in rows:
+        fields = row.split(",")
+        assert len(fields) == len(header.split(",")), text
+        assert all(f in _WORDS or math.isfinite(float(f)) for f in fields), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_command_lines())
+def test_every_successful_output_parses_with_finite_numbers(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage error
+            code = exc.code
+    if code == 0:
+        _assert_finite_document(out.getvalue(), argv[-1])
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue() != ""

@@ -48,6 +48,7 @@ class TestTrialDesign:
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=0.0), dict(alpha=1.0), dict(sigma=0.0), dict(sigma=-1.0),
         dict(n_total=0.0), dict(r=1.0), dict(r=-1.0), dict(r=1.5),
+        dict(sigma=math.inf), dict(n_total=math.inf),
     ])
     def test_invalid(self, kwargs):
         base = dict(alpha=0.05, tau=0.5, sigma=1.0, n_total=100.0, r=0.0)
@@ -156,6 +157,11 @@ class TestRequiredSampleSize:
     def test_rejects_power_below_half_alpha(self):
         with pytest.raises(DomainError):
             required_sample_size(0.05, 0.02, 0.5, 1.0)
+
+    @pytest.mark.parametrize("tau, sigma", [(1e-200, 1.0), (0.5, 1e200)])
+    def test_rejects_design_with_no_finite_n(self, tau, sigma):
+        with pytest.raises(DomainError, match="tau"):
+            required_sample_size(0.05, 0.80, tau, sigma)
 
 
 class TestExpansionParams:
@@ -290,3 +296,16 @@ class TestRatioReport:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             ratio_report(0.05, 0.80, [])
+
+    def test_rejects_degenerate_grid_point(self):
+        with pytest.raises(DomainError):
+            ratio_report(0.05, 0.80, [0.0, 0.5, 1.0])
+
+    def test_equals_scalar_functions(self):
+        # the scalar functions are the reference: same arithmetic, same bits
+        grid = [0.01 * i for i in range(100)] + [-0.3, 0.999999]
+        for alpha, power in [(0.05, 0.80), (0.01, 0.9), (0.2, 0.55)]:
+            report = ratio_report(alpha, power, grid)
+            assert report.exact_ratio == [power_ratio_exact(alpha, power, r) for r in grid]
+            assert report.series_ratio == [power_ratio_series(alpha, power, r) for r in grid]
+            assert report.thumb_ratio == [rule_of_thumb(r) for r in grid]

@@ -28,6 +28,7 @@ class TestSimConfig:
         dict(n_subjects=125), dict(n_subjects=0), dict(sigma=0.0),
         dict(rho=1.0), dict(alpha=0.0), dict(n_reps=0),
         dict(test_kind="bootstrap"), dict(seed=-1),
+        dict(tau=math.nan), dict(n_subjects=2), dict(sigma=math.inf),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
@@ -135,6 +136,29 @@ class TestFitAncova:
         ref = sm.OLS(y, np.column_stack([np.ones(60), t, x])).fit()
         assert fit.tau_hat == pytest.approx(ref.params[1], abs=1e-10)
         assert fit.se_tau_hat == pytest.approx(ref.bse[1], abs=1e-10)
+
+    def test_matches_lstsq_on_unbalanced_arms(self):
+        # independent oracle: least squares on the full design matrix, with
+        # the coefficient covariance from its pseudo-inverse
+        rng = np.random.default_rng(4)
+        t = np.repeat([0.0, 1.0], [7, 13])
+        x = rng.normal(size=20)
+        y = 0.3 * t + 0.8 * x + rng.normal(size=20)
+        design = np.column_stack([np.ones(20), t, x])
+        coef, sse, _, _ = np.linalg.lstsq(design, y, rcond=None)
+        se = math.sqrt(sse[0] / 17 * np.linalg.pinv(design.T @ design)[1, 1])
+        fit = fit_ancova(TrialData(t, x, y))
+        assert fit.tau_hat == pytest.approx(coef[1], rel=1e-12)
+        assert fit.se_tau_hat == pytest.approx(se, rel=1e-12)
+        assert fit.df == 17
+
+    def test_rejects_covariate_collinear_with_treatment(self):
+        # the covariate varies across arms but (almost) not within them
+        rng = np.random.default_rng(1)
+        t = np.array([0.0, 1.0] * 6)
+        x = 2.0 * t + 1.0 + 1e-9 * rng.normal(size=12)
+        with pytest.raises(np.linalg.LinAlgError):
+            fit_ancova(TrialData(t, x, t + rng.normal(size=12)))
 
     def test_rejects_constant_covariate(self):
         t = np.array([0.0, 1.0] * 6)
