@@ -5,64 +5,14 @@ thumb, together with a Monte Carlo trial simulator that validates the
 analytic formulas.
 """
 
-from .errors import DomainError
-from .normal_math import erfc, std_normal_cdf, std_normal_pdf, std_normal_quantile
-from .power_engine import (
-    ExpansionParams,
-    PowerRatioReport,
-    TrialDesign,
-    adjusted_power_at_fixed_n,
-    approx_power_one_term,
-    asymptotic_variance,
-    exact_power_two_term,
-    expansion_params,
-    power_ratio_exact,
-    power_ratio_series,
-    ratio_report,
-    required_sample_size,
-    rule_of_thumb,
-)
-from .simulate import (
-    FitResult,
-    SimConfig,
-    SimResult,
-    TrialData,
-    fit_ancova,
-    fit_unadjusted,
-    generate_trial,
-    run_campaign,
-    student_t_critical,
-)
+# the package exports each module's public names, as its __all__ lists them
+from . import errors, normal_math, power_engine, simulate
+from .errors import *
+from .normal_math import *
+from .power_engine import *
+from .simulate import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DomainError",
-    "std_normal_pdf",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "erfc",
-    "TrialDesign",
-    "ExpansionParams",
-    "PowerRatioReport",
-    "asymptotic_variance",
-    "exact_power_two_term",
-    "approx_power_one_term",
-    "required_sample_size",
-    "adjusted_power_at_fixed_n",
-    "power_ratio_exact",
-    "expansion_params",
-    "power_ratio_series",
-    "rule_of_thumb",
-    "ratio_report",
-    "SimConfig",
-    "SimResult",
-    "TrialData",
-    "FitResult",
-    "generate_trial",
-    "fit_ancova",
-    "fit_unadjusted",
-    "run_campaign",
-    "student_t_critical",
-    "__version__",
-]
+__all__ = [*errors.__all__, *normal_math.__all__, *power_engine.__all__, *simulate.__all__,
+           "__version__"]

@@ -2,7 +2,8 @@
 
 Every command writes a single machine-readable document (JSON object or
 CSV table) to stdout; diagnostics go to stderr.  Reals are serialized
-with 17 significant digits so values round-trip exactly.
+with 17 significant digits so values round-trip exactly.  A document
+holds the command's leading inputs, in flag order, then its results.
 
 Exit codes: 0 success, 1 domain/numerical error, 2 usage error.
 """
@@ -10,14 +11,15 @@ Exit codes: 0 success, 1 domain/numerical error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
 
 from .errors import DomainError
 from . import power_engine as pe
-from .normal_math import std_normal_cdf, std_normal_quantile
 from .simulate import SimConfig, run_campaign
 
 __all__ = ["main", "build_parser"]
@@ -46,27 +48,20 @@ def _json_value(key: str, value) -> str:
     return _fmt(key, value)
 
 
-def _csv_line(items) -> str:
-    return ",".join(_fmt(k, v) for k, v in items) + "\n"
-
-
 def _emit(doc: dict, fmt: str, rows_key: "str | None" = None) -> None:
-    """Write the result document to stdout, all at once.
-
-    JSON: the dict as a single object. CSV: one header + one data row for
-    scalar documents; if ``rows_key`` names a list of row dicts, those
-    become the table and the remaining scalar entries repeat per row.
-    A non-finite number raises ArithmeticError before anything is written.
-    """
+    """Write the result document to stdout, all at once: JSON, the dict as one
+    object; CSV, a header and a line per row, the rows being the document itself
+    or, if ``rows_key`` names its list of row dicts, those, each followed by the
+    other entries. A non-finite number raises ArithmeticError before any output."""
     if fmt == "json":
         text = _json_value("", doc) + "\n"
-    elif rows_key is None:
-        text = ",".join(doc) + "\n" + _csv_line(doc.items())
     else:
-        rows = doc[rows_key]
-        scalars = {k: v for k, v in doc.items() if k != rows_key}
-        text = ",".join(list(rows[0]) + list(scalars)) + "\n"
-        text += "".join(_csv_line([*row.items(), *scalars.items()]) for row in rows)
+        rows = doc[rows_key] if rows_key else [doc]
+        scalars = {k: v for k, v in doc.items() if k != rows_key} if rows_key else {}
+        # a row at a time: all rows' items alive at once set the garbage collector off
+        text = ",".join([*rows[0], *scalars]) + "\n" + "".join(
+            ",".join(_fmt(k, v) for k, v in [*row.items(), *scalars.items()]) + "\n"
+            for row in rows)
     sys.stdout.write(text)
 
 
@@ -76,106 +71,28 @@ def _even_int(text: str) -> int:
     return int(text)
 
 
-def _add_output(sub: argparse.ArgumentParser, handler, rows_key=None) -> None:
-    """The --format flag, and the handler that maps parsed args to the result
-    document; ``rows_key`` names its list of rows that CSV tabulates."""
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.set_defaults(handler=handler, rows_key=rows_key)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ancova-power",
-        description="Power analysis for covariate-adjusted 1:1 randomized trials.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("power", help="power of the adjusted analysis at a given design")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--n", type=float, required=True, help="total sample size, both arms")
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--exact", action="store_true",
-                   help="also report the two-term power and the dropped tail term")
-    _add_output(p, _cmd_power)
-
-    p = commands.add_parser("sample-size", help="total N for a target unadjusted power")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--power", type=float, default=0.80)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--round-even", action="store_true",
-                   help="also report the smallest even integer >= N")
-    _add_output(p, _cmd_sample_size)
-
-    p = commands.add_parser("ratio", help="adjusted/unadjusted power ratio at one r")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--power", type=float, default=0.80)
-    p.add_argument("--r", type=float, required=True)
-    _add_output(p, _cmd_ratio)
-
-    p = commands.add_parser("curve", help="power-ratio table over a grid of r")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--power", type=float, default=0.80)
-    p.add_argument("--r-max", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    _add_output(p, _cmd_curve, rows_key="rows")
-
-    p = commands.add_parser("expand", help="series expansion parameters and coefficients")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--power", type=float, default=0.80)
-    _add_output(p, _cmd_expand)
-
-    p = commands.add_parser("simulate", help="Monte Carlo campaign vs analytic power")
-    p.add_argument("--n", type=_even_int, required=True, help="total sample size, must be even")
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--test", choices=("z", "t"), default="t")
-    p.add_argument("--adjust", choices=("true", "false"), default="true")
-    _add_output(p, _cmd_simulate)
-
-    return parser
+def _true_false(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"must be true or false, got {text!r}")
+    return text == "true"
 
 
 def _cmd_power(args) -> dict:
-    design = pe.TrialDesign(alpha=args.alpha, tau=args.tau, sigma=args.sigma,
-                            n_total=args.n, r=args.r)
-    doc = {
-        "alpha": args.alpha, "tau": args.tau, "sigma": args.sigma,
-        "n": args.n, "r": args.r,
-        "power": pe.approx_power_one_term(design),
-    }
-    if args.exact:
-        nu = math.sqrt(pe.asymptotic_variance(design))
-        a = std_normal_quantile(args.alpha / 2.0)
-        doc["power_exact"] = pe.exact_power_two_term(design)
-        doc["dropped_tail_term"] = std_normal_cdf(a - abs(args.tau) / nu)
-    return doc
+    design = pe.TrialDesign(args.alpha, args.tau, args.sigma, n_total=args.n, r=args.r)
+    power, tail = pe.power_terms(design)
+    exact = {"power_exact": tail + power, "dropped_tail_term": tail} if args.exact else {}
+    return {"power": power, **exact}
 
 
 def _cmd_sample_size(args) -> dict:
     n = pe.required_sample_size(args.alpha, args.power, args.tau, args.sigma)
-    doc = {
-        "alpha": args.alpha, "power": args.power,
-        "tau": args.tau, "sigma": args.sigma, "n": n,
-    }
-    if args.round_even:
-        doc["n_round_even"] = 2 * math.ceil(n / 2.0)
-    return doc
+    return {"n": n, "n_round_even": 2 * math.ceil(n / 2.0)} if args.round_even else {"n": n}
 
 
 def _cmd_ratio(args) -> dict:
-    return {
-        "alpha": args.alpha, "power": args.power, "r": args.r,
-        "exact": pe.power_ratio_exact(args.alpha, args.power, args.r),
-        "series": pe.power_ratio_series(args.alpha, args.power, args.r),
-        "thumb": pe.rule_of_thumb(args.r),
-    }
+    return {"exact": pe.power_ratio_exact(args.alpha, args.power, args.r),
+            "series": pe.power_ratio_series(args.alpha, args.power, args.r),
+            "thumb": pe.rule_of_thumb(args.r)}
 
 
 def _cmd_curve(args) -> dict:
@@ -189,56 +106,90 @@ def _cmd_curve(args) -> dict:
                           f"points up to --r-max {args.r_max}; use a larger --step")
     grid = [i * args.step for i in range(int(math.floor(last)) + 1)]
     report = pe.ratio_report(args.alpha, args.power, grid)
-    rows = [
-        {"r": r, "exact_ratio": e, "series_ratio": s, "thumb_ratio": t}
-        for r, e, s, t in zip(report.r_grid, report.exact_ratio,
-                              report.series_ratio, report.thumb_ratio)
-    ]
-    return {
-        "alpha": args.alpha, "power": args.power,
-        "rows": rows,
-        "max_abs_err_series": report.max_abs_err_series,
-        "max_abs_err_thumb": report.max_abs_err_thumb,
-    }
+    rows = [{"r": r, "exact_ratio": e, "series_ratio": s, "thumb_ratio": t} for r, e, s, t
+            in zip(report.r_grid, report.exact_ratio, report.series_ratio, report.thumb_ratio)]
+    return {"rows": rows, "max_abs_err_series": report.max_abs_err_series,
+            "max_abs_err_thumb": report.max_abs_err_thumb}
 
 
 def _cmd_expand(args) -> dict:
     params = pe.expansion_params(args.alpha, args.power)
     c0, c2 = pe.series_coefficients(params)
-    return {
-        "alpha": args.alpha, "power": args.power,
-        "a": params.a, "b": params.b,
-        "c0": c0, "c2": c2,
-        "c2_finite_difference": pe.ratio_curvature_fd(args.alpha, args.power),
-    }
+    return {"a": params.a, "b": params.b, "c0": c0, "c2": c2,
+            "c2_finite_difference": pe.ratio_curvature_fd(args.alpha, args.power)}
 
 
 def _cmd_simulate(args) -> dict:
-    config = SimConfig(
-        n_subjects=args.n, tau=args.tau, sigma=args.sigma, rho=args.rho,
-        alpha=args.alpha, n_reps=args.reps, seed=args.seed,
-        test_kind="wald_z" if args.test == "z" else "student_t",
-        adjust=args.adjust == "true",
-    )
-    result = run_campaign(config)
-    return {
-        "n": args.n, "tau": args.tau, "sigma": args.sigma, "rho": args.rho,
-        "alpha": args.alpha, "reps": args.reps, "seed": args.seed,
-        "test": args.test, "adjust": args.adjust == "true",
-        "rejection_rate": result.rejection_rate,
-        "mc_stderr": result.mc_stderr,
-        "mean_tau_hat": result.mean_tau_hat,
-        "empirical_se_tau_hat": result.empirical_se_tau_hat,
-        "analytic_se": result.analytic_se,
-        "analytic_power": result.analytic_power,
-        "n_reps_completed": result.n_reps_completed,
-    }
+    config = SimConfig(n_subjects=args.n, tau=args.tau, sigma=args.sigma, rho=args.rho,
+                       alpha=args.alpha, n_reps=args.reps, seed=args.seed, adjust=args.adjust,
+                       test_kind="wald_z" if args.test == "z" else "student_t")
+    return dataclasses.asdict(run_campaign(config))
+
+
+# every flag, declared once: its name as the document spells it -> argparse keywords
+_FLAGS = {
+    "alpha": dict(type=float, default=0.05),
+    "power": dict(type=float, default=0.80),
+    **dict.fromkeys(("tau", "sigma", "r_max", "step"), dict(type=float, required=True)),
+    **dict.fromkeys(("r", "rho"), dict(type=float, default=0.0)),
+    "n": dict(type=float, required=True, help="total sample size, both arms"),
+    "exact": dict(action="store_true",
+                  help="also report the two-term power and the dropped tail term"),
+    "round_even": dict(action="store_true", help="also report the smallest even integer >= N"),
+    "reps": dict(type=int, required=True),
+    "seed": dict(type=int, default=0),
+    "test": dict(choices=("z", "t"), default="t"),
+    "adjust": dict(type=_true_false, default=True, metavar="{true,false}"),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
+
+
+def _flags(*names, **replaced) -> dict:
+    """Name -> argparse keywords of the named flags and of --format; ``replaced``
+    maps a name to keywords that replace some of its own."""
+    return {name: {**_FLAGS[name], **replaced.get(name, {})} for name in (*names, "format")}
+
+
+# command -> help, handler, flags, how many leading flags the document starts with,
+# and the key of the list of row dicts that CSV tabulates
+_COMMANDS = {
+    "power": ("power of the adjusted analysis at a given design", _cmd_power,
+              _flags("alpha", "tau", "sigma", "n", "r", "exact"), 5, None),
+    "sample-size": ("total N for a target unadjusted power", _cmd_sample_size,
+                    _flags("alpha", "power", "tau", "sigma", "round_even"), 4, None),
+    "ratio": ("adjusted/unadjusted power ratio at one r", _cmd_ratio,
+              _flags("alpha", "power", "r", r=dict(required=True)), 3, None),
+    "curve": ("power-ratio table over a grid of r", _cmd_curve,
+              _flags("alpha", "power", "r_max", "step"), 2, "rows"),
+    "expand": ("series expansion parameters and coefficients", _cmd_expand,
+               _flags("alpha", "power"), 2, None),
+    "simulate": ("Monte Carlo campaign vs analytic power", _cmd_simulate,
+                 _flags("n", "tau", "sigma", "rho", "alpha", "reps", "seed", "test", "adjust",
+                        n=dict(type=_even_int, help="total sample size, must be even")),
+                 9, None),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="ancova-power", description=(
+        "Power analysis for covariate-adjusted 1:1 randomized trials."))
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, handler, flags, echo, rows_key) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=help_text)
+        # argparse's own pattern takes "-1e-05" for an option, not a negative value
+        sub._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+        for name, keywords in flags.items():
+            sub.add_argument("--" + name.replace("_", "-"), **keywords)
+        sub.set_defaults(handler=handler, echo=list(flags)[:echo], rows_key=rows_key)
+    return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    doc = {name: getattr(args, name) for name in args.echo}
     try:
-        _emit(args.handler(args), args.format, rows_key=args.rows_key)
+        doc.update(args.handler(args))
+        _emit(doc, args.format, rows_key=args.rows_key)
     except (DomainError, ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

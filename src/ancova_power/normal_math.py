@@ -67,6 +67,9 @@ _PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01,
 _PPF_D = (7.784695709041462e-03, 3.224671290700398e-01,
           2.445134137142996e+00, 3.754408661907416e+00)
 _PPF_SPLIT = 0.02425
+# the Halley step's exp(x^2/2) overflows for p below ~5.4e-311; capped, the step
+# stays finite and x keeps Acklam's accuracy there (within 1e-7 of the quantile)
+_LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 def _as_array(x, name: str, allow_inf: bool = False):
@@ -197,6 +200,6 @@ def std_normal_quantile(p):
     x = _quantile_initial(flat)
     # One Halley step against the CDF restores full double accuracy.
     err = np.atleast_1d(std_normal_cdf(x)) - flat
-    u = err * np.sqrt(2.0 * np.pi) * np.exp(0.5 * x * x)
+    u = err * np.sqrt(2.0 * np.pi) * np.exp(np.minimum(0.5 * x * x, _LOG_DBL_MAX))
     x = x - u / (1.0 + 0.5 * x * u)
     return _scalar_or_array(x.reshape(np.shape(arr)), p)

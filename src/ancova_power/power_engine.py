@@ -25,6 +25,7 @@ __all__ = [
     "ExpansionParams",
     "PowerRatioReport",
     "asymptotic_variance",
+    "power_terms",
     "exact_power_two_term",
     "approx_power_one_term",
     "required_sample_size",
@@ -40,6 +41,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# step in r^2 of the central difference in ratio_curvature_fd
+_FD_STEP = 1e-5
 
 
 def _check_probability(value: float, name: str) -> float:
@@ -83,6 +87,14 @@ class TrialDesign:
         if not (0.0 < self.n_total < math.inf):
             raise DomainError(f"n_total must be positive and finite, got {self.n_total}")
         _check_correlation(self.r)
+        try:
+            variance = asymptotic_variance(self)
+        except OverflowError:  # sigma**2 overflows
+            variance = math.inf
+        if not (0.0 < variance < math.inf):
+            raise DomainError(
+                f"sigma = {self.sigma} and n_total = {self.n_total} give the variance "
+                f"4*sigma^2*(1 - r^2)/n_total = {variance}, which is not a positive finite float")
 
 
 @dataclass(frozen=True)
@@ -115,16 +127,25 @@ def asymptotic_variance(design: TrialDesign) -> float:
     return 4.0 * design.sigma**2 / design.n_total * (1.0 - design.r**2)
 
 
+def power_terms(design: TrialDesign) -> tuple:
+    """The two rejection probabilities of the two-sided test,
+    (Phi(a + |tau|/nu), Phi(a - |tau|/nu)): the dominant term, on the side
+    of the effect, and the far tail, with a = Phi^-1(alpha/2) and nu the
+    standard error, sqrt(asymptotic_variance)."""
+    nu = math.sqrt(asymptotic_variance(design))
+    a = std_normal_quantile(design.alpha / 2.0)
+    shift = abs(design.tau) / nu
+    return std_normal_cdf(a + shift), std_normal_cdf(a - shift)
+
+
 def exact_power_two_term(design: TrialDesign) -> float:
-    """Two-sided rejection probability, Phi(a - t/nu) + Phi(a + t/nu).
+    """Two-sided rejection probability, Phi(a - |tau|/nu) + Phi(a + |tau|/nu).
 
     Exact under the asymptotic normal model; reduces to alpha at tau = 0
     and is invariant under tau -> -tau.
     """
-    nu = math.sqrt(asymptotic_variance(design))
-    a = std_normal_quantile(design.alpha / 2.0)
-    shift = design.tau / nu
-    return std_normal_cdf(a - shift) + std_normal_cdf(a + shift)
+    main, tail = power_terms(design)
+    return tail + main
 
 
 def approx_power_one_term(design: TrialDesign) -> float:
@@ -133,9 +154,7 @@ def approx_power_one_term(design: TrialDesign) -> float:
     Drops the far-tail rejection probability Phi(a - |tau|/nu); the gap
     vanishes as tau/nu grows but is material near tau = 0.
     """
-    nu = math.sqrt(asymptotic_variance(design))
-    a = std_normal_quantile(design.alpha / 2.0)
-    return std_normal_cdf(a + abs(design.tau) / nu)
+    return power_terms(design)[0]
 
 
 def required_sample_size(alpha: float, target_power: float,
@@ -153,8 +172,9 @@ def required_sample_size(alpha: float, target_power: float,
         n = 4.0 * sigma**2 / tau**2 * params.b**2
     except ArithmeticError:  # sigma**2 overflows or tau**2 underflows to 0
         n = math.inf
-    if not math.isfinite(n):
-        raise DomainError(f"tau = {tau} is too small for sigma = {sigma}: N is not finite")
+    if not (0.0 < n < math.inf):
+        raise DomainError(f"tau = {tau} and sigma = {sigma} give N = {n}, "
+                          "which is not a positive finite number")
     return n
 
 
@@ -218,18 +238,18 @@ def series_coefficients(params: ExpansionParams) -> tuple:
     return c0, c2
 
 
-def ratio_curvature_fd(alpha: float, target_power: float, step: float = 1e-5) -> float:
+def ratio_curvature_fd(alpha: float, target_power: float) -> float:
     """Central-difference derivative of the exact power ratio in r^2 at 0.
 
     Independent numerical check of the series coefficient c2; evaluates
-    the ratio at r^2 = +-step, which is well defined for negative r^2.
+    the ratio at r^2 = +-1e-5, which is well defined for negative r^2.
     """
     params = expansion_params(alpha, target_power)
 
     def ratio_at(r_sq: float) -> float:
         return std_normal_cdf(params.a + params.b / math.sqrt(1.0 - r_sq)) / target_power
 
-    return (ratio_at(step) - ratio_at(-step)) / (2.0 * step)
+    return (ratio_at(_FD_STEP) - ratio_at(-_FD_STEP)) / (2.0 * _FD_STEP)
 
 
 def rule_of_thumb(r: float) -> float:

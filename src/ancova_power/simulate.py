@@ -15,6 +15,7 @@ self-consistent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,6 +76,18 @@ class SimConfig:
         # simulates (run_campaign reports against it, with r = 0 if unadjusted)
         TrialDesign(alpha=self.alpha, tau=self.tau, sigma=self.sigma,
                     n_total=float(self.n_subjects), r=self.rho)
+        # the campaign sums squares over subjects and over replications of values
+        # below 128*(|tau| + sigma) (twice an outcome; |x|, |eps| <= 38.5 for any
+        # double uniform); the noise's squares must stay normal floats
+        top = 128.0 * (abs(self.tau) + self.sigma)
+        if not top * top * max(self.n_subjects, self.n_reps) < sys.float_info.max:
+            raise DomainError(
+                f"tau = {self.tau} and sigma = {self.sigma} are too large to simulate: "
+                "the campaign's sums of squares would overflow")
+        if not self.sigma * self.sigma * (1.0 - self.rho * self.rho) >= sys.float_info.min:
+            raise DomainError(
+                f"sigma = {self.sigma} is too small to simulate at rho = {self.rho}: the "
+                "noise variance sigma^2*(1 - rho^2) is below the normal float range")
 
 
 @dataclass(frozen=True)

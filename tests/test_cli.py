@@ -147,6 +147,13 @@ class TestSimulateCommand:
         _, out2, _ = run_cli(capsys, *self.ARGS)
         assert out1 == out2
 
+    def test_adjust_other_than_true_or_false_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "8", "--tau", "0.5", "--sigma", "1", "--reps", "10",
+                  "--adjust", "maybe"])
+        assert exc.value.code == 2
+        assert "--adjust" in capsys.readouterr().err
+
     def test_odd_n_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n", "127", "--tau", "0.5", "--sigma", "1",
@@ -179,6 +186,36 @@ class TestContracts:
         # serialization at 17 significant digits is lossless
         assert json.loads(out)["n"] == float(format(n, ".17g"))
 
+    def test_negative_value_in_exponent_form(self, capsys):
+        _, joined, _ = run_cli(capsys, "power", "--tau=-1e-05", "--sigma", "1", "--n", "126")
+        code, out, _ = run_cli(capsys, "power", "--tau", "-1e-05", "--sigma", "1", "--n", "126")
+        assert code == 0
+        assert out == joined
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["power", "--tau", "0.5", "--sigma", "1", "--n", "126"], "alpha tau sigma n r power"),
+        (["power", "--tau", "0.5", "--sigma", "1", "--n", "126", "--exact"],
+         "alpha tau sigma n r power power_exact dropped_tail_term"),
+        (["sample-size", "--tau", "0.5", "--sigma", "1"], "alpha power tau sigma n"),
+        (["sample-size", "--tau", "0.5", "--sigma", "1", "--round-even"],
+         "alpha power tau sigma n n_round_even"),
+        (["ratio", "--r", "0.5"], "alpha power r exact series thumb"),
+        (["curve", "--r-max", "0.1", "--step", "0.1"],
+         "alpha power rows max_abs_err_series max_abs_err_thumb"),
+        (["expand"], "alpha power a b c0 c2 c2_finite_difference"),
+        (["simulate", "--n", "8", "--tau", "0.5", "--sigma", "1", "--reps", "20"],
+         "n tau sigma rho alpha reps seed test adjust rejection_rate mc_stderr mean_tau_hat "
+         "empirical_se_tau_hat analytic_se analytic_power n_reps_completed"),
+    ])
+    def test_document_layout(self, capsys, argv, keys):
+        # inputs in flag order, then results; CSV puts a curve's row columns first
+        _, out, _ = run_cli(capsys, *argv)
+        assert list(json.loads(out)) == keys.split()
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        row_columns = "r exact_ratio series_ratio thumb_ratio "
+        header = row_columns + keys.replace(" rows", "") if "rows" in keys else keys
+        assert out.split("\n")[0] == header.replace(" ", ",")
+
     def test_diagnostics_go_to_stderr_only(self, capsys):
         code, out, err = run_cli(capsys, "ratio", "--r", "1.5")
         assert code == 1
@@ -196,6 +233,11 @@ class TestInputContract:
         (["simulate", "--n", "126", "--tau", "nan", "--sigma", "1", "--reps", "10"], "tau"),
         (["simulate", "--n", "2", "--tau", "0.5", "--sigma", "1", "--reps", "10"], "n_subjects"),
         (["simulate", "--n", "126", "--tau", "0.5", "--sigma", "inf", "--reps", "10"], "sigma"),
+        (["power", "--tau", "0.5", "--sigma", "1e200", "--n", "126"], "sigma"),
+        (["power", "--tau", "0.5", "--sigma", "1e-300", "--n", "126"], "sigma"),
+        (["sample-size", "--tau", "0.5", "--sigma", "1e-300"], "sigma"),
+        (["simulate", "--n", "8", "--tau", "0.5", "--sigma", "1e160", "--reps", "10"], "sigma"),
+        (["simulate", "--n", "8", "--tau", "1e200", "--sigma", "1", "--reps", "10"], "tau"),
     ])
     def test_bad_input_exits_1_before_compute(self, capsys, monkeypatch, argv, names):
         def must_not_run(*args):

@@ -103,6 +103,14 @@ class TestQuantile:
         ps = np.linspace(1e-6, 1 - 1e-6, 500)
         assert np.all(np.diff(std_normal_quantile(ps)) > 0.0)
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-310, 2.2250738585072014e-308])
+    def test_subnormal_p_matches_mpmath(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        expected = mpmath.findroot(
+            lambda x: mpmath.log(mpmath.ncdf(x)) - mpmath.log(mpmath.mpf(p)), -38)
+        assert std_normal_quantile(p) == pytest.approx(float(expected), abs=1e-7)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_out_of_range(self, p):
         with pytest.raises(DomainError):

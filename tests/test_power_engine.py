@@ -14,6 +14,7 @@ from ancova_power import (
     expansion_params,
     power_ratio_exact,
     power_ratio_series,
+    power_terms,
     ratio_report,
     required_sample_size,
     rule_of_thumb,
@@ -49,6 +50,8 @@ class TestTrialDesign:
         dict(alpha=0.0), dict(alpha=1.0), dict(sigma=0.0), dict(sigma=-1.0),
         dict(n_total=0.0), dict(r=1.0), dict(r=-1.0), dict(r=1.5),
         dict(sigma=math.inf), dict(n_total=math.inf),
+        # variance 4*sigma^2/n_total overflows or underflows to 0
+        dict(sigma=1e200), dict(sigma=1e-300), dict(n_total=1e-320),
     ])
     def test_invalid(self, kwargs):
         base = dict(alpha=0.05, tau=0.5, sigma=1.0, n_total=100.0, r=0.0)
@@ -101,6 +104,21 @@ class TestExactPower:
         # representable (more extreme designs round to exactly 1.0)
         d = TrialDesign(alpha=0.05, tau=1.0, sigma=1.0, n_total=400.0, r=0.0)
         assert 0.0 < exact_power_two_term(d) < 1.0
+
+
+class TestPowerTerms:
+    def test_terms_of_the_public_functions_bit_for_bit(self):
+        # the one- and two-term powers as written out before power_terms
+        # existed: Phi(a + |tau|/nu), and Phi(a - tau/nu) + Phi(a + tau/nu)
+        for tau in (0.37, -0.37, 1e-3, -1e-3, 0.0, -0.0):
+            d = TrialDesign(alpha=0.05, tau=tau, sigma=1.3, n_total=77.0, r=0.4)
+            nu = math.sqrt(asymptotic_variance(d))
+            a = std_normal_quantile(0.025)
+            main, tail = power_terms(d)
+            assert main == approx_power_one_term(d) == std_normal_cdf(a + abs(tau) / nu)
+            assert tail == std_normal_cdf(a - abs(tau) / nu)
+            assert tail + main == exact_power_two_term(d)
+            assert tail + main == std_normal_cdf(a - tau / nu) + std_normal_cdf(a + tau / nu)
 
 
 class TestApproxPower:
@@ -158,7 +176,7 @@ class TestRequiredSampleSize:
         with pytest.raises(DomainError):
             required_sample_size(0.05, 0.02, 0.5, 1.0)
 
-    @pytest.mark.parametrize("tau, sigma", [(1e-200, 1.0), (0.5, 1e200)])
+    @pytest.mark.parametrize("tau, sigma", [(1e-200, 1.0), (0.5, 1e200), (0.5, 1e-300)])
     def test_rejects_design_with_no_finite_n(self, tau, sigma):
         with pytest.raises(DomainError, match="tau"):
             required_sample_size(0.05, 0.80, tau, sigma)

@@ -29,6 +29,9 @@ class TestSimConfig:
         dict(rho=1.0), dict(alpha=0.0), dict(n_reps=0),
         dict(test_kind="bootstrap"), dict(seed=-1),
         dict(tau=math.nan), dict(n_subjects=2), dict(sigma=math.inf),
+        # sums of squares that overflow, or noise squares below the normal range
+        dict(tau=1e200), dict(tau=-1e160), dict(sigma=1e153), dict(sigma=1e-160),
+        dict(sigma=1e-150, rho=0.999999999999),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
@@ -58,6 +61,14 @@ class TestGenerateTrial:
         assert np.array_equal(treatment[3], d.treatment)
         assert np.array_equal(covariate[3], d.covariate)
         assert np.array_equal(outcome[3], d.outcome)
+
+    def test_smallest_uniform_decodes_to_finite_values(self):
+        # _rep_uniforms maps a draw of exactly 0 to 5e-324
+        cfg = make_config()
+        uniforms = _rep_uniforms(cfg, 0)[np.newaxis, :]
+        uniforms[0, [0, 126]] = 5e-324  # a covariate draw and a noise draw
+        for values in _decode_trials(cfg, uniforms):
+            assert np.all(np.isfinite(values))
 
     def _pooled_rows(self, cfg, reps=1000):
         uniforms = np.stack([_rep_uniforms(cfg, r) for r in range(reps)])
