@@ -52,6 +52,16 @@ def _check_probability(value: float, name: str) -> float:
     return float(value)
 
 
+def _check_alpha(alpha: float) -> float:
+    """A two-sided level whose half, each side's tail area, is a positive float:
+    the critical value is -Phi^-1(alpha/2)."""
+    _check_probability(alpha, "alpha")
+    if alpha / 2.0 == 0.0:
+        raise DomainError(f"alpha must be at least 1e-323, so that alpha/2 is a positive "
+                          f"float, got {alpha}")
+    return float(alpha)
+
+
 def _check_correlation(r: float) -> float:
     if not math.isfinite(r) or r * r >= 1.0:
         raise DomainError(
@@ -79,7 +89,7 @@ class TrialDesign:
     r: float = 0.0
 
     def __post_init__(self):
-        _check_probability(self.alpha, "alpha")
+        _check_alpha(self.alpha)
         if not math.isfinite(self.tau):
             raise DomainError(f"tau must be finite, got {self.tau}")
         if not (0.0 < self.sigma < math.inf):
@@ -180,7 +190,7 @@ def required_sample_size(alpha: float, target_power: float,
 
 def expansion_params(alpha: float, target_power: float) -> ExpansionParams:
     """Compute a = Phi^-1(alpha/2) and b = Phi^-1(target_power) - a."""
-    _check_probability(alpha, "alpha")
+    _check_alpha(alpha)
     _check_probability(target_power, "target_power")
     a = std_normal_quantile(alpha / 2.0)
     b = std_normal_quantile(target_power) - a

@@ -7,6 +7,8 @@ two-sample comparison, and aggregates empirical rejection rates.
 Reproducibility: each replication draws from its own Philox stream keyed
 by (seed, rep_index), so a replication is a pure function of those two
 integers and results do not depend on batching or execution order.
+Philox is counter-based (Salmon et al. 2011), so one bit generator reset
+to key (seed, rep_index) and counter 0 gives exactly a new one's stream.
 Normal variates come from the inverse-CDF transform through
 ``normal_math.std_normal_quantile``, keeping the whole stack
 self-consistent.
@@ -43,7 +45,11 @@ TEST_KINDS = ("wald_z", "student_t")
 # variance cannot be adjusted for and are skipped
 _COLLINEARITY_VARIANCE_FLOOR = 1e-12
 
+# replications per reduction chunk: the campaign's sums are taken chunk by chunk
 _CHUNK_REPS = 4096
+# uniforms drawn, decoded and fitted at a time (512 KB): a block of rows stays
+# in cache from draw to fit, and a campaign's working set is one block
+_BLOCK_VALUES = 65536
 
 
 @dataclass(frozen=True)
@@ -121,13 +127,21 @@ class SimResult:
     n_reps_completed: int
 
 
-def _rep_uniforms(config: SimConfig, rep_index: int) -> np.ndarray:
-    """The 3n uniform draws of one replication, from its keyed stream."""
-    key = np.array([config.seed, rep_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    u = rng.random(3 * config.n_subjects)
+def _rep_uniforms(config: SimConfig, reps) -> np.ndarray:
+    """The 3n uniform draws of each replication in ``reps``, one row per
+    replication, each from its own stream: Philox keyed (seed, rep), counter 0."""
+    bit_gen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    draw = np.random.Generator(bit_gen).random
+    # a fresh generator's state: counter 0 and an empty buffer
+    state = bit_gen.state
+    key = state["state"]["key"]
+    out = np.empty((len(reps), 3 * config.n_subjects))
+    for row, rep in zip(out, reps):
+        key[1] = rep
+        bit_gen.state = state
+        draw(out=row)
     # random() lands in [0, 1); keep the quantile's domain open
-    return np.maximum(u, 5e-324)
+    return np.maximum(out, 5e-324, out=out)
 
 
 def _decode_trials(config: SimConfig, uniforms: np.ndarray):
@@ -151,7 +165,7 @@ def generate_trial(config: SimConfig, rep_index: int) -> TrialData:
     eps ~ N(0, sigma^2*(1-rho^2)), exactly n/2 subjects per arm."""
     if rep_index < 0:
         raise DomainError(f"rep_index must be nonnegative, got {rep_index}")
-    u = _rep_uniforms(config, rep_index)[np.newaxis, :]
+    u = _rep_uniforms(config, [rep_index])
     treatment, covariate, outcome = _decode_trials(config, u)
     return TrialData(treatment=treatment[0], covariate=covariate[0], outcome=outcome[0])
 
@@ -231,36 +245,48 @@ def run_campaign(config: SimConfig) -> SimResult:
 
     Replications are processed in fixed-size chunks with sum-based
     accumulators, so the result is deterministic for a given config no
-    matter how the work is scheduled.
+    matter how the work is scheduled. Within a chunk, blocks of rows of at
+    most ``_BLOCK_VALUES`` uniforms are drawn, decoded and fitted in turn;
+    each row's fit depends on its own draws only, so the block size does
+    not change any result.
     """
     n = config.n_subjects
     df = n - 3 if config.adjust else n - 2
     if config.test_kind == "wald_z":
-        critical = std_normal_quantile(1.0 - config.alpha / 2.0)
+        # 1 - alpha/2 would lose alpha's low digits, and round to 1 below ~2.2e-16
+        critical = -std_normal_quantile(config.alpha / 2.0)
     else:
         critical = student_t_critical(config.alpha, df)
 
     n_rejections = 0
     n_completed = 0
-    sum_tau = 0.0
-    sum_tau_sq = 0.0
+    # sums of tau_hat - tau: those of tau_hat itself cancel when |tau| dwarfs the SE
+    sum_dev = 0.0
+    sum_dev_sq = 0.0
 
+    block_rows = max(1, _BLOCK_VALUES // (3 * n))
     for start in range(0, config.n_reps, _CHUNK_REPS):
-        reps = range(start, min(start + _CHUNK_REPS, config.n_reps))
-        uniforms = np.stack([_rep_uniforms(config, r) for r in reps])
-        treatment, covariate, outcome = _decode_trials(config, uniforms)
+        chunk = range(start, min(start + _CHUNK_REPS, config.n_reps))
+        tau_hat, se = np.empty(len(chunk)), np.empty(len(chunk))
+        ok = np.empty(len(chunk), dtype=bool)
+        for first in range(0, len(chunk), block_rows):
+            rows = slice(first, first + block_rows)
+            uniforms = _rep_uniforms(config, chunk[rows])
+            treatment, covariate, outcome = _decode_trials(config, uniforms)
+            tau_hat[rows], se[rows], ok[rows] = _fit_batch(
+                treatment, covariate, outcome, config.adjust)
 
-        tau_hat, se, ok = _fit_batch(treatment, covariate, outcome, config.adjust)
         reject = ok & (np.abs(tau_hat) > critical * se)
         n_rejections += int(reject.sum())
         n_completed += int(ok.sum())
-        sum_tau += float(tau_hat[ok].sum())
-        sum_tau_sq += float((tau_hat[ok] ** 2).sum())
+        dev = tau_hat[ok] - config.tau
+        sum_dev += float(dev.sum())
+        sum_dev_sq += float((dev ** 2).sum())
 
     rate = n_rejections / n_completed
-    mean_tau = sum_tau / n_completed
+    mean_dev = sum_dev / n_completed
     if n_completed > 1:
-        emp_var = max(sum_tau_sq - n_completed * mean_tau**2, 0.0) / (n_completed - 1)
+        emp_var = max(sum_dev_sq - n_completed * mean_dev**2, 0.0) / (n_completed - 1)
     else:
         emp_var = 0.0
 
@@ -269,7 +295,7 @@ def run_campaign(config: SimConfig) -> SimResult:
     return SimResult(
         rejection_rate=rate,
         mc_stderr=math.sqrt(rate * (1.0 - rate) / n_completed),
-        mean_tau_hat=mean_tau,
+        mean_tau_hat=config.tau + mean_dev,
         empirical_se_tau_hat=math.sqrt(emp_var),
         analytic_se=math.sqrt(asymptotic_variance(design)),
         analytic_power=exact_power_two_term(design),

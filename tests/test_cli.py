@@ -238,6 +238,12 @@ class TestInputContract:
         (["sample-size", "--tau", "0.5", "--sigma", "1e-300"], "sigma"),
         (["simulate", "--n", "8", "--tau", "0.5", "--sigma", "1e160", "--reps", "10"], "sigma"),
         (["simulate", "--n", "8", "--tau", "1e200", "--sigma", "1", "--reps", "10"], "tau"),
+        # alpha/2 underflows to 0
+        (["power", "--alpha", "5e-324", "--tau", "0.5", "--sigma", "1", "--n", "126"], "alpha"),
+        (["sample-size", "--alpha", "5e-324", "--tau", "0.5", "--sigma", "1"], "alpha"),
+        (["ratio", "--alpha", "5e-324", "--r", "0.5"], "alpha"),
+        (["simulate", "--n", "126", "--tau", "0.5", "--sigma", "1", "--reps", "10",
+          "--alpha", "5e-324", "--test", "z"], "alpha"),
     ])
     def test_bad_input_exits_1_before_compute(self, capsys, monkeypatch, argv, names):
         def must_not_run(*args):

@@ -52,6 +52,8 @@ class TestTrialDesign:
         dict(sigma=math.inf), dict(n_total=math.inf),
         # variance 4*sigma^2/n_total overflows or underflows to 0
         dict(sigma=1e200), dict(sigma=1e-300), dict(n_total=1e-320),
+        # alpha/2 underflows to 0
+        dict(alpha=5e-324),
     ])
     def test_invalid(self, kwargs):
         base = dict(alpha=0.05, tau=0.5, sigma=1.0, n_total=100.0, r=0.0)

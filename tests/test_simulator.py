@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ancova_power import (
     run_campaign,
     student_t_critical,
 )
+from ancova_power import simulate
 from ancova_power.simulate import _decode_trials, _rep_uniforms
 
 
@@ -53,9 +55,20 @@ class TestGenerateTrial:
         assert not np.array_equal(
             d1.outcome, generate_trial(make_config(seed=43), 5).outcome)
 
+    def test_streams_are_fresh_keyed_philox(self):
+        # one reset Philox per call gives each rep a new generator's stream
+        cfg = make_config(n_subjects=20, seed=2**63 + 5)
+        reps = [0, 1, 7, 2**40, 3]
+        uniforms = _rep_uniforms(cfg, reps)
+        assert uniforms.shape == (len(reps), 60)
+        for row, r in zip(uniforms, reps):
+            key = np.array([cfg.seed, r], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key)).random(60)
+            assert np.array_equal(row, np.maximum(fresh, 5e-324))
+
     def test_batched_decode_matches_single_rep(self):
         cfg = make_config()
-        uniforms = np.stack([_rep_uniforms(cfg, r) for r in range(8)])
+        uniforms = _rep_uniforms(cfg, range(8))
         treatment, covariate, outcome = _decode_trials(cfg, uniforms)
         d = generate_trial(cfg, 3)
         assert np.array_equal(treatment[3], d.treatment)
@@ -65,13 +78,13 @@ class TestGenerateTrial:
     def test_smallest_uniform_decodes_to_finite_values(self):
         # _rep_uniforms maps a draw of exactly 0 to 5e-324
         cfg = make_config()
-        uniforms = _rep_uniforms(cfg, 0)[np.newaxis, :]
+        uniforms = _rep_uniforms(cfg, [0])
         uniforms[0, [0, 126]] = 5e-324  # a covariate draw and a noise draw
         for values in _decode_trials(cfg, uniforms):
             assert np.all(np.isfinite(values))
 
     def _pooled_rows(self, cfg, reps=1000):
-        uniforms = np.stack([_rep_uniforms(cfg, r) for r in range(reps)])
+        uniforms = _rep_uniforms(cfg, range(reps))
         return _decode_trials(cfg, uniforms)
 
     def test_independent_when_rho_zero(self):
@@ -246,6 +259,41 @@ class TestRunCampaign:
     def test_deterministic(self):
         cfg = make_config(n_reps=2000)
         assert run_campaign(cfg) == run_campaign(cfg)
+
+    @pytest.mark.parametrize("adjust", [True, False])
+    def test_independent_of_block_size(self, monkeypatch, adjust):
+        # 4096 + 37 reps: a second, partial chunk
+        cfg = make_config(n_subjects=20, adjust=adjust, n_reps=4096 + 37)
+        default = run_campaign(cfg)
+        # one row per block, then 7 rows per block (7 does not divide 4096)
+        for block_values in (60, 7 * 60 + 59):
+            monkeypatch.setattr(simulate, "_BLOCK_VALUES", block_values)
+            assert run_campaign(cfg) == default
+
+    def test_working_set_is_one_block(self):
+        # the whole 4096 x 3024 chunk of uniforms alone would be 94 MB
+        cfg = make_config(n_subjects=1008, tau=0.5 / math.sqrt(8.0), n_reps=4096)
+        tracemalloc.start()
+        try:
+            run_campaign(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    def test_empirical_se_does_not_cancel_at_large_tau(self):
+        # the same draws at any tau: tau_hat - tau moves by rounding only
+        base = run_campaign(make_config(n_reps=50))
+        for tau in (1e6, 1e8):
+            res = run_campaign(make_config(tau=tau, n_reps=50))
+            assert res.empirical_se_tau_hat == pytest.approx(base.empirical_se_tau_hat, rel=1e-5)
+            assert res.mean_tau_hat - tau == pytest.approx(base.mean_tau_hat - 0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [1e-20, 1e-323])
+    def test_wald_z_at_tiny_alpha(self, alpha):
+        # 1 - alpha/2 rounds to 1 here; the critical value is -Phi^-1(alpha/2)
+        res = run_campaign(make_config(tau=0.0, test_kind="wald_z", alpha=alpha, n_reps=50))
+        assert res.rejection_rate == 0.0
 
     def test_mc_stderr_invariant(self):
         res = run_campaign(make_config(n_reps=2000))
