@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import re
 import sys
@@ -170,7 +171,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared by every
+    ``main`` call (argparse keeps no state from one parse to the next)."""
     parser = argparse.ArgumentParser(prog="ancova-power", description=(
         "Power analysis for covariate-adjusted 1:1 randomized trials."))
     commands = parser.add_subparsers(dest="command", required=True)

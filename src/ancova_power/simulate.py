@@ -67,6 +67,10 @@ class SimConfig:
     adjust: bool = True
 
     def __post_init__(self):
+        for name in ("n_subjects", "n_reps", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n_subjects < 4 or self.n_subjects % 2 != 0:
             raise DomainError(
                 f"n_subjects must be an even integer >= 4 (exact 1:1 split, at least "

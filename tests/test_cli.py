@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -185,6 +186,20 @@ class TestContracts:
         n = json.loads(out)["n"]
         # serialization at 17 significant digits is lossless
         assert json.loads(out)["n"] == float(format(n, ".17g"))
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording_parse_args(parser, *args):
+            parsers.append(parser)
+            return parse_args(parser, *args)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+        run_cli(capsys, "ratio", "--r", "0.5")
+        run_cli(capsys, "expand")
+        assert len(parsers) == 2
+        assert parsers[0] is parsers[1]
 
     def test_negative_value_in_exponent_form(self, capsys):
         _, joined, _ = run_cli(capsys, "power", "--tau=-1e-05", "--sigma", "1", "--n", "126")

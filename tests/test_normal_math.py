@@ -109,7 +109,32 @@ class TestQuantile:
         mpmath.mp.dps = 30
         expected = mpmath.findroot(
             lambda x: mpmath.log(mpmath.ncdf(x)) - mpmath.log(mpmath.mpf(p)), -38)
-        assert std_normal_quantile(p) == pytest.approx(float(expected), abs=1e-7)
+        assert std_normal_quantile(p) == pytest.approx(float(expected), rel=1e-14)
+
+    def test_relative_error_vs_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        # p = 0.5, whose quantile is exactly 0, is test_median's
+        ps = [5e-324, *np.logspace(math.log10(5e-324), math.log10(0.5), 400, endpoint=False),
+              *(1.0 - 10.0 ** -k for k in range(2, 16)), 1.0 - 2.0 ** -53]
+        for p in ps:
+            tail = mpmath.mpf(min(p, 1.0 - p))  # 1 - p is exact for p >= 0.5
+            root = mpmath.findroot(lambda x: mpmath.log(mpmath.ncdf(x) / tail),
+                                   -mpmath.sqrt(-2 * mpmath.log(tail)))
+            expected = float(root if p < 0.5 else -root)
+            assert abs(std_normal_quantile(p) - expected) <= 1e-14 * abs(expected), p
+
+    def test_exactly_antisymmetric(self):
+        # q = 1 - p is exact for every float p in (0.5, 1), so Q(1 - q) = -Q(q)
+        p = np.concatenate([
+            np.random.default_rng(7).uniform(0.5, 1.0, 20000),
+            1.0 - 2.0 ** -53 * np.arange(1, 2001),
+            np.nextafter(0.5, 1.0) + 2.0 ** -53 * np.arange(2000),
+            [0.925, np.nextafter(0.925, 0.0), np.nextafter(0.925, 1.0), 1.0 - 1e-7],
+        ])
+        q = 1.0 - p
+        assert np.array_equal(1.0 - q, p)
+        assert np.array_equal(std_normal_quantile(1.0 - q), -std_normal_quantile(q))
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_out_of_range(self, p):

@@ -34,10 +34,27 @@ class TestSimConfig:
         # sums of squares that overflow, or noise squares below the normal range
         dict(tau=1e200), dict(tau=-1e160), dict(sigma=1e153), dict(sigma=1e-160),
         dict(sigma=1e-150, rho=0.999999999999),
+        # counts and seeds that are not integers
+        dict(n_subjects=126.0), dict(n_reps=10.5), dict(seed=1.5), dict(seed=1.9),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
             make_config(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_subjects", 126.0), ("n_reps", 10.5), ("seed", 1.5), ("seed", 1.9),
+        ("n_subjects", np.float64(126.0)),
+    ])
+    def test_non_integer_is_named(self, name, value):
+        # the config, not the campaign, refuses it: a float count fails in range()
+        # and a float seed is truncated by the stream key
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            make_config(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        python = dict(n_subjects=20, n_reps=5, seed=2**63 + 5)
+        numpy = dict(n_subjects=np.int64(20), n_reps=np.int32(5), seed=np.uint64(2**63 + 5))
+        assert run_campaign(make_config(**numpy)) == run_campaign(make_config(**python))
 
 
 class TestGenerateTrial:
