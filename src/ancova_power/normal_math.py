@@ -98,7 +98,8 @@ def _scalar_or_array(result: np.ndarray, like) -> "float | np.ndarray":
 def std_normal_pdf(x):
     """Density of the standard normal, exp(-x^2/2)/sqrt(2*pi)."""
     arr = _as_array(x, "x")
-    return _scalar_or_array(_INV_SQRT_2PI * np.exp(-0.5 * arr * arr), x)
+    with np.errstate(over="ignore"):  # x*x is inf for |x| >= ~1.34e154, and exp(-inf) = 0
+        return _scalar_or_array(_INV_SQRT_2PI * np.exp(-0.5 * arr * arr), x)
 
 
 def _erfc_core(y: np.ndarray) -> np.ndarray:
@@ -131,7 +132,8 @@ def _erfc_core(y: np.ndarray) -> np.ndarray:
 
     large = y > 4.0
     if np.any(large):
-        yl = y[large]
+        # erfc underflows to 0 from y ~ 27.3; the clip keeps y*y and y*16 finite
+        yl = np.minimum(y[large], 40.0)
         z = 1.0 / (yl * yl)
         num = _ERFC_P[5] * z
         den = z

@@ -175,6 +175,17 @@ class TestErfc:
             erfc(float("nan"))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1.4e154, 1e300, 1e308])
+def test_huge_arguments_without_overflow(x):
+    # x*x overflows from |x| ~ 1.34e154; neither a warning nor a nan may follow
+    assert erfc(x) == 0.0
+    assert erfc(-x) == 2.0
+    assert std_normal_pdf(x) == 0.0
+    assert std_normal_pdf(-x) == 0.0
+    assert np.array_equal(erfc(np.array([-x, x])), [2.0, 0.0])
+
+
 def test_array_inputs_preserve_shape():
     x = np.array([[0.0, 1.0], [-1.0, 2.0]])
     assert std_normal_cdf(x).shape == x.shape

@@ -131,6 +131,13 @@ class TestGenerateTrial:
         with pytest.raises(DomainError):
             generate_trial(make_config(), -1)
 
+    def test_rejects_rep_index_beyond_the_stream_key(self):
+        # the key's rep word is 64 bits; numpy would say only 'Python int too large'
+        cfg = make_config(n_subjects=20)
+        with pytest.raises(DomainError, match="rep_index"):
+            generate_trial(cfg, 2**64)
+        assert len(generate_trial(cfg, 2**64 - 1)) == 20
+
 
 class TestFitAncova:
     def test_perfect_treatment_effect(self):
@@ -250,20 +257,20 @@ class TestStudentTCritical:
     def test_df1_arctangent_closed_form(self):
         # the df=1 CDF inverts to tan(pi*(0.5 - alpha/2))
         assert student_t_critical(0.05, 1) == pytest.approx(
-            math.tan(math.pi * (0.5 - 0.025)), abs=1e-3)
+            math.tan(math.pi * (0.5 - 0.025)), rel=1e-10)
 
     def test_df2_closed_form(self):
         # solving t/sqrt(t^2+2) = 1 - alpha for the df=2 CDF
         alpha = 0.05
         expected = (1 - alpha) * math.sqrt(2.0 / (alpha * (2.0 - alpha)))
-        assert student_t_critical(alpha, 2) == pytest.approx(expected, abs=1e-3)
+        assert student_t_critical(alpha, 2) == pytest.approx(expected, rel=1e-10)
 
     def test_matches_scipy_closely(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         for df in (3, 10, 30, 123, 1000):
             for alpha in (0.01, 0.05, 0.2):
                 ref = float(scipy_stats.t.ppf(1.0 - alpha / 2.0, df))
-                assert student_t_critical(alpha, df) == pytest.approx(ref, abs=1e-8)
+                assert student_t_critical(alpha, df) == pytest.approx(ref, rel=1e-10)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -279,16 +286,46 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("adjust", [True, False])
     def test_independent_of_block_size(self, monkeypatch, adjust):
-        # 4096 + 37 reps: a second, partial chunk
+        # 4096 + 37 reps at 3n = 60 uniforms per rep
         cfg = make_config(n_subjects=20, adjust=adjust, n_reps=4096 + 37)
         default = run_campaign(cfg)
-        # one row per block, then 7 rows per block (7 does not divide 4096)
-        for block_values in (60, 7 * 60 + 59):
+        # one row per block; 7 and 1000 rows per block, each with a partial last
+        # block; the whole campaign in one block
+        for block_values in (60, 7 * 60 + 59, 1000 * 60, cfg.n_reps * 60):
             monkeypatch.setattr(simulate, "_BLOCK_VALUES", block_values)
             assert run_campaign(cfg) == default
 
+    @pytest.mark.parametrize("adjust, seed", [(True, 0), (False, 2)])
+    def test_sums_are_correctly_rounded(self, adjust, seed):
+        # reference: every rep fitted at once, each sum rounded once by math.fsum
+        cfg = make_config(n_subjects=20, adjust=adjust, seed=seed, n_reps=4096 + 37)
+        uniforms = _rep_uniforms(cfg, range(cfg.n_reps))
+        tau_hat, se, ok = simulate._fit_batch(*_decode_trials(cfg, uniforms), adjust)
+        critical = student_t_critical(cfg.alpha, 17 if adjust else 18)
+        dev = (tau_hat[ok] - cfg.tau).tolist()
+        n = len(dev)
+        mean_dev = math.fsum(dev) / n
+        emp_var = (math.fsum(d * d for d in dev) - n * mean_dev**2) / (n - 1)
+
+        res = run_campaign(cfg)
+        assert res.n_reps_completed == n
+        assert res.rejection_rate == int((ok & (np.abs(tau_hat) > critical * se)).sum()) / n
+        assert res.mean_tau_hat == cfg.tau + mean_dev
+        assert res.empirical_se_tau_hat == math.sqrt(emp_var)
+
+    def test_exact_add_depends_only_on_the_exact_sum(self):
+        values = np.random.default_rng(0).normal(size=1000) * np.logspace(-20, 20, 1000)
+        parts = []
+        for part in np.array_split(values, 7):
+            parts = simulate._exact_add(parts, part)
+        assert parts == simulate._exact_add([], values)
+        assert math.fsum(parts) == math.fsum(values)
+        assert simulate._exact_add([], np.array([1e16, 1.0, -1e16, 1e-30])) == [1.0, 1e-30]
+        assert simulate._exact_add([1.0], np.array([-1.0])) == []
+        assert simulate._exact_add([], np.array([math.inf, 1.0])) == [math.inf]
+
     def test_working_set_is_one_block(self):
-        # the whole 4096 x 3024 chunk of uniforms alone would be 94 MB
+        # the campaign's 4096 x 3024 uniforms alone would be 94 MB
         cfg = make_config(n_subjects=1008, tau=0.5 / math.sqrt(8.0), n_reps=4096)
         tracemalloc.start()
         try:
