@@ -4,13 +4,14 @@ Simulates 1:1 randomized trials with one baseline covariate, fits either
 an ANCOVA (outcome ~ intercept + treatment + covariate) or an unadjusted
 two-sample comparison, and aggregates empirical rejection rates.
 
-Reproducibility: each replication draws from its own Philox stream keyed
-by (seed, rep_index), so a replication is a pure function of those two
-integers. A campaign is one loop over blocks of replications, and its two
-float sums are exact and rounded once at the end, so results do not
-depend on the block size or the order of the blocks.
-Philox is counter-based (Salmon et al. 2011), so one bit generator reset
-to key (seed, rep_index) and counter 0 gives exactly a new one's stream.
+Reproducibility: replication r draws values [2n*r, 2n*(r+1)) of one
+counter-based Philox stream keyed (seed, 0) (Salmon et al. 2011): rep r's
+stretch of the seed's stream, a pure function of (seed, rep, n), reached by
+advancing the counter. The first n/2 subjects are treated: subjects are iid
+and both fits ignore their order, so every analysed statistic has the law of
+a random balanced assignment. A campaign is one loop over blocks of
+replications, and its two float sums are exact and rounded once at the end,
+so results do not depend on the block size or the order of the blocks.
 Normal variates come from the inverse-CDF transform through
 ``normal_math.std_normal_quantile``, keeping the whole stack
 self-consistent.
@@ -52,6 +53,11 @@ _COLLINEARITY_VARIANCE_FLOOR = 1e-12
 _BLOCK_VALUES = 65536
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One Monte Carlo campaign: trial shape, analysis, and RNG seed."""
@@ -68,9 +74,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("n_subjects", "n_reps", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         if self.n_subjects < 4 or self.n_subjects % 2 != 0:
             raise DomainError(
                 f"n_subjects must be an even integer >= 4 (exact 1:1 split, at least "
@@ -108,6 +112,21 @@ class TrialData:
     covariate: np.ndarray
     outcome: np.ndarray
 
+    def __post_init__(self):
+        want = np.shape(self.treatment)
+        for name in ("treatment", "covariate", "outcome"):
+            shape = np.shape(getattr(self, name))
+            if len(shape) != 1:
+                raise DomainError(f"{name} must be one-dimensional, got shape {shape}")
+            if shape != want:
+                raise DomainError(f"{name} has {shape[0]} entries, treatment has {want[0]}")
+        treatment = np.asarray(self.treatment)
+        if not np.all((treatment == 0) | (treatment == 1)):
+            raise DomainError("treatment entries must be 0 or 1")
+        for name in ("covariate", "outcome"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DomainError(f"{name} entries must be finite")
+
     def __len__(self) -> int:
         return len(self.outcome)
 
@@ -131,45 +150,43 @@ class SimResult:
     n_reps_completed: int
 
 
-def _rep_uniforms(config: SimConfig, reps) -> np.ndarray:
-    """The 3n uniform draws of each replication in ``reps``, one row per
-    replication, each from its own stream: Philox keyed (seed, rep), counter 0."""
+def _rep_uniforms(config: SimConfig, first: int, count: int) -> np.ndarray:
+    """The 2n uniform draws of replications first, ..., first + count - 1, one row
+    each: rep r's row is values [2n*r, 2n*(r+1)) of the stream of Philox keyed
+    (seed, 0), rep r's stretch of the seed's stream, a pure function of (seed, rep, n)."""
     bit_gen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
-    draw = np.random.Generator(bit_gen).random
-    # a fresh generator's state: counter 0 and an empty buffer
-    state = bit_gen.state
-    key = state["state"]["key"]
-    out = np.empty((len(reps), 3 * config.n_subjects))
-    for row, rep in zip(out, reps):
-        key[1] = rep
-        bit_gen.state = state
-        draw(out=row)
+    # one counter gives 4 values and 2n is a multiple of 4; advance() takes Python
+    # ints only (any numpy integer raises OverflowError)
+    bit_gen.advance(int(first) * int(config.n_subjects) // 2)
+    out = np.random.Generator(bit_gen).random((count, 2 * config.n_subjects))
     # random() lands in [0, 1); keep the quantile's domain open
     return np.maximum(out, 5e-324, out=out)
 
 
 def _decode_trials(config: SimConfig, uniforms: np.ndarray):
-    """Map (B, 3n) uniforms to treatment/covariate/outcome arrays (B, n)."""
+    """Map (B, 2n) uniforms to treatment/covariate/outcome arrays (B, n), with the
+    first n/2 subjects treated: subjects are iid and both fits ignore their order,
+    so every analysed statistic has the law it has under a random balanced
+    assignment. ``treatment`` is one row, broadcast (read-only) to (B, n)."""
     n = config.n_subjects
     x = std_normal_quantile(uniforms[:, :n])
     noise_scale = config.sigma * math.sqrt(1.0 - config.rho**2)
-    eps = noise_scale * std_normal_quantile(uniforms[:, n:2 * n])
-
-    # balanced permutation: ranks of n iid uniforms pick the treated half
-    order = np.argsort(uniforms[:, 2 * n:], axis=1)
-    treatment = np.zeros_like(x)
-    np.put_along_axis(treatment, order[:, :n // 2], 1.0, axis=1)
-
+    eps = noise_scale * std_normal_quantile(uniforms[:, n:])
+    treatment = np.broadcast_to(np.repeat([1.0, 0.0], n // 2), x.shape)
     outcome = config.tau * treatment + config.sigma * config.rho * x + eps
     return treatment, x, outcome
 
 
 def generate_trial(config: SimConfig, rep_index: int) -> TrialData:
-    """Simulate one trial: x ~ N(0,1), y = tau*t + sigma*rho*x + eps with
-    eps ~ N(0, sigma^2*(1-rho^2)), exactly n/2 subjects per arm."""
+    """Simulate replication ``rep_index``: x ~ N(0,1), y = tau*t + sigma*rho*x + eps
+    with eps ~ N(0, sigma^2*(1-rho^2)), from rep r's stretch of the seed's stream, a
+    pure function of (seed, rep, n). The first n/2 subjects are treated: subjects are
+    iid and both fits ignore their order, so this has the law of a random balanced
+    assignment."""
+    _check_integer("rep_index", rep_index)
     if not (0 <= rep_index < 2**64):
         raise DomainError(f"rep_index must be a 64-bit unsigned integer, got {rep_index}")
-    u = _rep_uniforms(config, [rep_index])
+    u = _rep_uniforms(config, rep_index, 1)
     treatment, covariate, outcome = _decode_trials(config, u)
     return TrialData(treatment=treatment[0], covariate=covariate[0], outcome=outcome[0])
 
@@ -222,7 +239,7 @@ def _fit_one(data: TrialData, adjust: bool) -> FitResult:
     """``_fit_batch`` on one trial, on copies of its arrays."""
     n1 = int(np.sum(data.treatment))
     if n1 == 0 or n1 == len(data):
-        raise ValueError("dataset must contain both arms")
+        raise DomainError("treatment must contain both arms, 0 and 1")
     rows = (np.array(a, dtype=float, ndmin=2)
             for a in (data.treatment, data.covariate, data.outcome))
     tau_hat, se, ok = _fit_batch(*rows, adjust)
@@ -241,6 +258,8 @@ def fit_ancova(data: TrialData) -> FitResult:
 
 def fit_unadjusted(data: TrialData) -> FitResult:
     """Two-sample difference of means with pooled-variance standard error."""
+    if len(data) < 3:
+        raise DomainError(f"need at least 3 rows for the unadjusted fit, got {len(data)}")
     return _fit_one(data, adjust=False)
 
 
@@ -278,9 +297,9 @@ def run_campaign(config: SimConfig) -> SimResult:
     # exact sums of tau_hat - tau: those of tau_hat itself cancel when |tau| dwarfs the SE
     sum_dev, sum_dev_sq = [], []
 
-    block_rows = max(1, _BLOCK_VALUES // (3 * n))
+    block_rows = max(1, _BLOCK_VALUES // (2 * n))
     for first in range(0, config.n_reps, block_rows):
-        uniforms = _rep_uniforms(config, range(config.n_reps)[first:first + block_rows])
+        uniforms = _rep_uniforms(config, first, min(block_rows, config.n_reps - first))
         # bound until the next block's replace them: a whole block freed at once lets
         # malloc trim the heap top, and the next block faults those pages back in
         treatment, covariate, outcome = _decode_trials(config, uniforms)

@@ -73,19 +73,25 @@ class TestGenerateTrial:
             d1.outcome, generate_trial(make_config(seed=43), 5).outcome)
 
     def test_streams_are_fresh_keyed_philox(self):
-        # one reset Philox per call gives each rep a new generator's stream
+        # rep r's row is values [2n*r, 2n*(r+1)) of the stream of Philox keyed
+        # (seed, 0): any block of rows is a slice of one contiguous draw
         cfg = make_config(n_subjects=20, seed=2**63 + 5)
-        reps = [0, 1, 7, 2**40, 3]
-        uniforms = _rep_uniforms(cfg, reps)
-        assert uniforms.shape == (len(reps), 60)
-        for row, r in zip(uniforms, reps):
-            key = np.array([cfg.seed, r], dtype=np.uint64)
-            fresh = np.random.Generator(np.random.Philox(key=key)).random(60)
-            assert np.array_equal(row, np.maximum(fresh, 5e-324))
+        key = np.array([cfg.seed, 0], dtype=np.uint64)
+        stream = np.random.Generator(np.random.Philox(key=key)).random(40 * 12)
+        stream = np.maximum(stream, 5e-324).reshape(12, 40)
+        for first, count in [(0, 12), (0, 1), (1, 1), (3, 5), (7, 5), (11, 1)]:
+            assert np.array_equal(_rep_uniforms(cfg, first, count), stream[first:first + count])
+        # far reps: a Philox built at the rep's counter (4 values per counter),
+        # and a lone rep equals its row in a block
+        for r in (2**40, 2**64 - 3):
+            at_counter = np.random.Philox(counter=r * 20 // 2, key=key)
+            row = np.maximum(np.random.Generator(at_counter).random(40), 5e-324)
+            assert np.array_equal(_rep_uniforms(cfg, r, 1)[0], row)
+            assert np.array_equal(_rep_uniforms(cfg, r - 2, 3)[2], row)
 
     def test_batched_decode_matches_single_rep(self):
         cfg = make_config()
-        uniforms = _rep_uniforms(cfg, range(8))
+        uniforms = _rep_uniforms(cfg, 0, 8)
         treatment, covariate, outcome = _decode_trials(cfg, uniforms)
         d = generate_trial(cfg, 3)
         assert np.array_equal(treatment[3], d.treatment)
@@ -95,13 +101,13 @@ class TestGenerateTrial:
     def test_smallest_uniform_decodes_to_finite_values(self):
         # _rep_uniforms maps a draw of exactly 0 to 5e-324
         cfg = make_config()
-        uniforms = _rep_uniforms(cfg, [0])
+        uniforms = _rep_uniforms(cfg, 0, 1)
         uniforms[0, [0, 126]] = 5e-324  # a covariate draw and a noise draw
         for values in _decode_trials(cfg, uniforms):
             assert np.all(np.isfinite(values))
 
     def _pooled_rows(self, cfg, reps=1000):
-        uniforms = _rep_uniforms(cfg, range(reps))
+        uniforms = _rep_uniforms(cfg, 0, reps)
         return _decode_trials(cfg, uniforms)
 
     def test_independent_when_rho_zero(self):
@@ -132,11 +138,63 @@ class TestGenerateTrial:
             generate_trial(make_config(), -1)
 
     def test_rejects_rep_index_beyond_the_stream_key(self):
-        # the key's rep word is 64 bits; numpy would say only 'Python int too large'
+        # rep indices are 64-bit; a huge one would overflow the Philox counter's
+        # advance() with a message that names nothing
         cfg = make_config(n_subjects=20)
         with pytest.raises(DomainError, match="rep_index"):
             generate_trial(cfg, 2**64)
         assert len(generate_trial(cfg, 2**64 - 1)) == 20
+
+    def test_rep_index_must_be_an_integer(self):
+        # a float would be truncated to another rep's trial
+        cfg = make_config(n_subjects=20)
+        with pytest.raises(DomainError, match="rep_index must be an integer"):
+            generate_trial(cfg, 1.5)
+        numpy_rep = generate_trial(cfg, np.int64(3))
+        assert np.array_equal(numpy_rep.outcome, generate_trial(cfg, 3).outcome)
+
+    def test_first_half_treated(self):
+        data = generate_trial(make_config(n_subjects=20), 4)
+        assert np.array_equal(data.treatment, np.repeat([1.0, 0.0], 10))
+
+
+class TestTrialData:
+    @pytest.mark.parametrize("name, arrays", [
+        ("treatment", (np.zeros((2, 3)), np.zeros(6), np.zeros(6))),
+        ("covariate", (np.array([0.0, 1.0] * 3), np.zeros((2, 3)), np.zeros(6))),
+        ("outcome", (np.array([0.0, 1.0] * 3), np.zeros(6), np.float64(1.0))),
+    ])
+    def test_rejects_non_vector(self, name, arrays):
+        with pytest.raises(DomainError, match=f"{name} must be one-dimensional"):
+            TrialData(*arrays)
+
+    @pytest.mark.parametrize("name, lengths", [("covariate", (6, 5, 6)),
+                                               ("outcome", (6, 6, 7))])
+    def test_rejects_unequal_lengths(self, name, lengths):
+        # numpy would say only 'operands could not be broadcast together'
+        t, x, y = (np.arange(k) % 2.0 for k in lengths)
+        with pytest.raises(DomainError, match=f"{name} has [57] entries, treatment has 6"):
+            TrialData(t, x, y)
+
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, math.nan])
+    def test_rejects_treatment_not_zero_or_one(self, bad):
+        t = np.array([0.0, 1.0, 0.0, 1.0, bad])
+        with pytest.raises(DomainError, match="treatment entries must be 0 or 1"):
+            TrialData(t, np.arange(5.0), np.arange(5.0))
+
+    @pytest.mark.parametrize("name", ["covariate", "outcome"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, name, bad):
+        # a NaN outcome would give a NaN fit; an infinite covariate a false collinearity
+        arrays = dict(treatment=np.array([0.0, 1.0] * 3), covariate=np.arange(6.0),
+                      outcome=np.arange(6.0))
+        arrays[name][2] = bad
+        with pytest.raises(DomainError, match=f"{name} entries must be finite"):
+            TrialData(**arrays)
+
+    def test_accepts_lists(self):
+        data = TrialData([0, 0, 1, 1], [0.1, 0.4, 0.2, 0.3], [1.0, 2.0, 3.0, 5.0])
+        assert fit_unadjusted(data).tau_hat == pytest.approx(2.5, abs=1e-15)
 
 
 class TestFitAncova:
@@ -246,8 +304,15 @@ class TestFitUnadjusted:
         assert adj.tau_hat == pytest.approx(unadj.tau_hat, abs=0.01)
 
     def test_rejects_single_arm(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="treatment must contain both arms"):
             fit_unadjusted(TrialData(np.ones(4), np.zeros(4), np.ones(4)))
+
+    def test_rejects_tiny_dataset(self):
+        # two rows leave no degree of freedom for the pooled variance
+        with pytest.raises(DomainError, match="at least 3 rows"):
+            fit_unadjusted(TrialData(np.array([0.0, 1.0]), np.zeros(2), np.array([1.0, 2.0])))
+        assert fit_unadjusted(TrialData(np.array([0.0, 1.0, 1.0]), np.zeros(3),
+                                        np.array([1.0, 2.0, 4.0]))).df == 1
 
 
 class TestStudentTCritical:
@@ -286,12 +351,12 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("adjust", [True, False])
     def test_independent_of_block_size(self, monkeypatch, adjust):
-        # 4096 + 37 reps at 3n = 60 uniforms per rep
+        # 4096 + 37 reps at 2n = 40 uniforms per rep
         cfg = make_config(n_subjects=20, adjust=adjust, n_reps=4096 + 37)
         default = run_campaign(cfg)
         # one row per block; 7 and 1000 rows per block, each with a partial last
         # block; the whole campaign in one block
-        for block_values in (60, 7 * 60 + 59, 1000 * 60, cfg.n_reps * 60):
+        for block_values in (40, 7 * 40 + 39, 1000 * 40, cfg.n_reps * 40):
             monkeypatch.setattr(simulate, "_BLOCK_VALUES", block_values)
             assert run_campaign(cfg) == default
 
@@ -299,7 +364,7 @@ class TestRunCampaign:
     def test_sums_are_correctly_rounded(self, adjust, seed):
         # reference: every rep fitted at once, each sum rounded once by math.fsum
         cfg = make_config(n_subjects=20, adjust=adjust, seed=seed, n_reps=4096 + 37)
-        uniforms = _rep_uniforms(cfg, range(cfg.n_reps))
+        uniforms = _rep_uniforms(cfg, 0, cfg.n_reps)
         tau_hat, se, ok = simulate._fit_batch(*_decode_trials(cfg, uniforms), adjust)
         critical = student_t_critical(cfg.alpha, 17 if adjust else 18)
         dev = (tau_hat[ok] - cfg.tau).tolist()
@@ -325,7 +390,7 @@ class TestRunCampaign:
         assert simulate._exact_add([], np.array([math.inf, 1.0])) == [math.inf]
 
     def test_working_set_is_one_block(self):
-        # the campaign's 4096 x 3024 uniforms alone would be 94 MB
+        # the campaign's 4096 x 2016 uniforms alone would be 63 MB
         cfg = make_config(n_subjects=1008, tau=0.5 / math.sqrt(8.0), n_reps=4096)
         tracemalloc.start()
         try:
@@ -395,6 +460,38 @@ class TestRunCampaign:
         z = run_campaign(make_config(test_kind="wald_z", n_reps=5000, seed=10))
         t = run_campaign(make_config(test_kind="student_t", n_reps=5000, seed=10))
         assert z.rejection_rate >= t.rejection_rate
+
+    @pytest.mark.parametrize("n_subjects", [8, 126])
+    @pytest.mark.parametrize("adjust", [True, False])
+    def test_doubling_tau_and_sigma_doubles_every_estimate(self, n_subjects, adjust):
+        # twice tau and sigma make every float of every trial exactly twice as large,
+        # so the rejections are the same and both tau_hat moments double exactly
+        kwargs = dict(n_subjects=n_subjects, adjust=adjust, n_reps=3000, seed=5)
+        base = run_campaign(make_config(**kwargs))
+        doubled = run_campaign(make_config(tau=1.0, sigma=2.0, **kwargs))
+        assert doubled.rejection_rate == base.rejection_rate
+        assert doubled.mean_tau_hat == 2.0 * base.mean_tau_hat
+        assert doubled.empirical_se_tau_hat == 2.0 * base.empirical_se_tau_hat
+
+    @pytest.mark.parametrize("n_subjects, tau, rho, adjust", [
+        (20, 2 * 0.5 * math.sqrt(126 / 20), 0.5, True),
+        (20, 2 * 0.5 * math.sqrt(126 / 20), 0.5, False),
+        (8, 3.0, 0.3, True),
+    ])
+    def test_small_n_matches_finite_sample_law(self, oracle, n_subjects, tau, rho, adjust):
+        # at small N the asymptotic power is far off; the reference is the exact
+        # finite-sample law, at sigma = 2 so that a sigma-scaling fault shows
+        cfg = make_config(n_subjects=n_subjects, tau=tau, sigma=2.0, rho=rho,
+                          adjust=adjust, n_reps=100_000, seed=5)
+        res = run_campaign(cfg)
+        assert res.n_reps_completed == cfg.n_reps
+        power = oracle.finite_sample_power(cfg.alpha, tau, cfg.sigma, rho, n_subjects, adjust)
+        assert abs(res.rejection_rate - power) <= 4.0 * res.mc_stderr
+        se = oracle.finite_sample_se(cfg.sigma, rho, n_subjects, adjust)
+        kurtosis = oracle.tau_hat_kurtosis(n_subjects, adjust)
+        # the standard error of a sample SD: sd * sqrt((kurtosis - 1) / (4 reps))
+        se_of_sd = se * math.sqrt((kurtosis - 1.0) / (4.0 * cfg.n_reps))
+        assert abs(res.empirical_se_tau_hat - se) <= 4.0 * se_of_sd
 
     def test_mean_tau_hat_unbiased(self):
         res = run_campaign(make_config(n_reps=30_000, seed=11))
