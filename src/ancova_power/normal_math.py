@@ -10,6 +10,8 @@ Self-contained kernels with tight accuracy contracts:
   37:477-484, 1988), one rational function of degree 7 per region, with
   relative error <= 1e-14 for every p in (0, 1), subnormal p included.
   It is exactly antisymmetric: Q(1 - p) == -Q(p) whenever 1 - p is exact.
+  The central rational runs over every value, and the tails, found and
+  written by integer index, overwrite theirs.
 
 All functions accept a float or a numpy array and return the same kind.
 They are pure and stateless, and each checks its argument once.
@@ -183,23 +185,26 @@ def _rational(pairs: np.ndarray, x: np.ndarray) -> np.ndarray:
 def std_normal_quantile(p):
     """Inverse of the standard normal CDF for p in (0, 1), by AS 241."""
     arr = np.asarray(p, dtype=float)
-    flat = np.atleast_1d(arr)
+    flat = arr.ravel()
     if not np.all((0.0 < flat) & (flat < 1.0)):
         raise DomainError(f"p must lie strictly in (0, 1), got {p!r}")
 
     q = flat - 0.5
-    x = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    if central.any():
-        qc = q[central]
-        x[central] = qc * _rational(_PPND_CENTRAL, 0.180625 - qc * qc)
-    tail = ~central
-    if tail.any():
-        pt = flat[tail]
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size < q.size:
+        # central region over every value; the tails overwrite theirs below. At a
+        # tail r lies in (-0.069375, 0), where the denominator stays in (0.00217, 1]
+        x = q * _rational(_PPND_CENTRAL, 0.180625 - q * q)
+    else:
+        x = np.empty_like(q)
+    if tail.size:
+        pt = flat.take(tail)
         s = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        # near region over every tail, far ones too: s - 1.6 > 0 and every
+        # coefficient is positive, so the denominator is at least 1
+        xt = _rational(_PPND_NEAR, s - 1.6)
         far = s > 5.0
-        s[~far] = _rational(_PPND_NEAR, s[~far] - 1.6)
         if far.any():
-            s[far] = _rational(_PPND_FAR, s[far] - 5.0)
-        x[tail] = np.copysign(s, q[tail])
+            xt[far] = _rational(_PPND_FAR, s[far] - 5.0)
+        x.put(tail, np.copysign(xt, q.take(tail)))
     return _scalar_or_array(x.reshape(arr.shape), p)

@@ -170,10 +170,14 @@ def _decode_trials(config: SimConfig, uniforms: np.ndarray):
     assignment. ``treatment`` is one row, broadcast (read-only) to (B, n)."""
     n = config.n_subjects
     x = std_normal_quantile(uniforms[:, :n])
-    noise_scale = config.sigma * math.sqrt(1.0 - config.rho**2)
-    eps = noise_scale * std_normal_quantile(uniforms[:, n:])
+    eps = std_normal_quantile(uniforms[:, n:])
+    eps *= config.sigma * math.sqrt(1.0 - config.rho**2)
     treatment = np.broadcast_to(np.repeat([1.0, 0.0], n // 2), x.shape)
-    outcome = config.tau * treatment + config.sigma * config.rho * x + eps
+    # tau*t + sigma*rho*x + eps without the full-size temporaries: tau*1 is tau,
+    # and tau*0 adds nothing
+    outcome = config.sigma * config.rho * x
+    outcome[:, :n // 2] += config.tau
+    outcome += eps
     return treatment, x, outcome
 
 

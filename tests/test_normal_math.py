@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ancova_power import DomainError
+from ancova_power import DomainError, normal_math
 from ancova_power.normal_math import (
     erfc,
     std_normal_cdf,
@@ -15,6 +15,12 @@ from ancova_power.normal_math import (
 # High-precision reference values frozen from a 30-digit mpmath oracle.
 PDF_AT_084162 = 0.279962211064536079525600549234
 CDF_AT_1959963985 = 0.975000000026881562299178874994
+
+# a block of (reps, 2n) uniforms as the simulator draws them, n = 20, with a
+# near-tail and a far-tail value in each half
+_UNIFORMS = np.random.default_rng(3).random((7, 40))
+_UNIFORMS[2, [3, 25]] = 1e-15, 1.0 - 2.0**-53
+_UNIFORMS[5, [19, 20]] = 0.01, 0.99
 
 
 class TestPdf:
@@ -135,6 +141,54 @@ class TestQuantile:
         q = 1.0 - p
         assert np.array_equal(1.0 - q, p)
         assert np.array_equal(std_normal_quantile(1.0 - q), -std_normal_quantile(q))
+
+    @pytest.mark.parametrize("p", [
+        # 1-d, all three regions: central, near tail, far tail (s > 5 below ~1.4e-11)
+        np.array([0.3, 0.074, 0.5, 0.926, 1e-12, 0.8, 1e-300, 5e-324, 1.0 - 2.0**-53]),
+        np.array([[0.3, 0.074, 0.5], [0.926, 1e-12, 0.8]]),
+        # the column views the simulator decodes, with tails among the central values
+        _UNIFORMS[:, :20], _UNIFORMS[:, 20:],
+        np.linspace(0.075, 0.925, 101),  # all central
+        np.array([0.001, 0.999, 0.07, 0.95, 1e-20, 1.0 - 1e-15]),  # all tail
+        np.array([[1e-12, 1e-100], [5e-324, 1.0 - 2.0**-53]]),  # all far tail
+    ], ids=["1d", "2d", "left-columns", "right-columns", "central", "tail", "far-tail"])
+    def test_arrays_match_scalar_calls_bit_for_bit(self, p):
+        expected = np.array([std_normal_quantile(float(v)) for v in p.ravel()])
+        got = std_normal_quantile(p)
+        assert got.shape == p.shape
+        assert got.tobytes() == expected.reshape(p.shape).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0)])
+    def test_empty_array_gives_empty_array(self, shape):
+        got = std_normal_quantile(np.empty(shape))
+        assert isinstance(got, np.ndarray) and got.shape == shape
+
+    def test_all_tail_input_skips_the_central_rational(self, monkeypatch):
+        evaluated, rational = [], normal_math._rational
+
+        def recording(pairs, x):
+            evaluated.append(pairs is normal_math._PPND_CENTRAL)
+            return rational(pairs, x)
+
+        monkeypatch.setattr(normal_math, "_rational", recording)
+        std_normal_quantile(0.001)
+        std_normal_quantile(np.array([0.001, 0.999, 1e-300]))
+        assert evaluated and not any(evaluated)
+        std_normal_quantile(np.array([0.001, 0.5]))
+        assert evaluated[-2:] == [True, False]
+
+    def test_no_floating_point_exceptions(self):
+        # the central rational runs over tail values too, and the near one over
+        # far-tail values: neither may divide by zero, overflow or make a nan
+        p = np.concatenate([
+            np.logspace(math.log10(5e-324), math.log10(0.5), 2000),
+            1.0 - np.logspace(-16, math.log10(0.5), 2000),
+            np.linspace(0.05, 0.95, 2001),
+            [5e-324, 1.0 - 2.0**-53],
+        ])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            x = std_normal_quantile(p)
+        assert np.all(np.isfinite(x))
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_out_of_range(self, p):

@@ -493,6 +493,25 @@ class TestRunCampaign:
         se_of_sd = se * math.sqrt((kurtosis - 1.0) / (4.0 * cfg.n_reps))
         assert abs(res.empirical_se_tau_hat - se) <= 4.0 * se_of_sd
 
+    @pytest.mark.parametrize("adjust, tau, expected", [
+        (True, 0.5, ("0x1.b2dbd194237fbp-3", "0x1.e953d72e6f6e0p-8", "0x1.ec9167d08495ap-2",
+                     "0x1.994da556fb668p-2", "0x1.8c97ef43f7248p-2", "0x1.0263760b260adp-2")),
+        (True, -0.4, ("0x1.54a6921735ee4p-3", "0x1.bd8f1709b6ac6p-8", "-0x1.ad0831c915040p-2",
+                      "0x1.994da556fb668p-2", "0x1.8c97ef43f7248p-2", "0x1.6d2989cc8aca6p-3")),
+        (False, 0.5, ("0x1.624dd2f1a9fbep-3", "0x1.c49469e8b1412p-8", "0x1.e82e57c9d1a88p-2",
+                      "0x1.c8b9eec0e781cp-2", "0x1.c9f25c5bfedd9p-2", "0x1.9b8e9583dfd39p-3")),
+        (False, -0.4, ("0x1.263ab596de8cap-3", "0x1.a3ae31c56afdbp-8", "-0x1.b16b41cfc7f12p-2",
+                       "0x1.c8b9eec0e781cp-2", "0x1.c9f25c5bfedd9p-2", "0x1.29ed7e1a235c4p-3")),
+    ])
+    def test_results_are_pinned_bit_for_bit(self, adjust, tau, expected):
+        # a change that moves any simulated bit must update these and say which moved
+        res = run_campaign(make_config(n_subjects=20, tau=tau, adjust=adjust,
+                                       n_reps=3000, seed=11))
+        floats = (res.rejection_rate, res.mc_stderr, res.mean_tau_hat,
+                  res.empirical_se_tau_hat, res.analytic_se, res.analytic_power)
+        assert tuple(v.hex() for v in floats) == expected
+        assert res.n_reps_completed == 3000
+
     def test_mean_tau_hat_unbiased(self):
         res = run_campaign(make_config(n_reps=30_000, seed=11))
         assert res.mean_tau_hat == pytest.approx(0.5, abs=3.0 * res.analytic_se / math.sqrt(30_000))
