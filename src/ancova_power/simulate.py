@@ -9,9 +9,12 @@ counter-based Philox stream keyed (seed, 0) (Salmon et al. 2011): rep r's
 stretch of the seed's stream, a pure function of (seed, rep, n), reached by
 advancing the counter. The first n/2 subjects are treated: subjects are iid
 and both fits ignore their order, so every analysed statistic has the law of
-a random balanced assignment. A campaign is one loop over blocks of
-replications, and its two float sums are exact and rounded once at the end,
-so results do not depend on the block size or the order of the blocks.
+a random balanced assignment. The batch fit takes that layout, the treated
+arm in each row's first n1 columns; ``fit_ancova`` and ``fit_unadjusted``
+copy a trial's treated rows first, keeping order. A campaign is one loop
+over blocks of replications, and its two float sums are exact and rounded
+once at the end, so results do not depend on the block size or the order of
+the blocks.
 Normal variates come from the inverse-CDF transform through
 ``normal_math.std_normal_quantile``, keeping the whole stack
 self-consistent.
@@ -164,21 +167,20 @@ def _rep_uniforms(config: SimConfig, first: int, count: int) -> np.ndarray:
 
 
 def _decode_trials(config: SimConfig, uniforms: np.ndarray):
-    """Map (B, 2n) uniforms to treatment/covariate/outcome arrays (B, n), with the
-    first n/2 subjects treated: subjects are iid and both fits ignore their order,
+    """Map (B, 2n) uniforms to covariate and outcome arrays (B, n) whose first n/2
+    columns are the treated arm: subjects are iid and both fits ignore their order,
     so every analysed statistic has the law it has under a random balanced
-    assignment. ``treatment`` is one row, broadcast (read-only) to (B, n)."""
+    assignment."""
     n = config.n_subjects
     x = std_normal_quantile(uniforms[:, :n])
     eps = std_normal_quantile(uniforms[:, n:])
     eps *= config.sigma * math.sqrt(1.0 - config.rho**2)
-    treatment = np.broadcast_to(np.repeat([1.0, 0.0], n // 2), x.shape)
     # tau*t + sigma*rho*x + eps without the full-size temporaries: tau*1 is tau,
     # and tau*0 adds nothing
     outcome = config.sigma * config.rho * x
     outcome[:, :n // 2] += config.tau
     outcome += eps
-    return treatment, x, outcome
+    return x, outcome
 
 
 def generate_trial(config: SimConfig, rep_index: int) -> TrialData:
@@ -190,26 +192,27 @@ def generate_trial(config: SimConfig, rep_index: int) -> TrialData:
     _check_integer("rep_index", rep_index)
     if not (0 <= rep_index < 2**64):
         raise DomainError(f"rep_index must be a 64-bit unsigned integer, got {rep_index}")
-    u = _rep_uniforms(config, rep_index, 1)
-    treatment, covariate, outcome = _decode_trials(config, u)
-    return TrialData(treatment=treatment[0], covariate=covariate[0], outcome=outcome[0])
+    covariate, outcome = _decode_trials(config, _rep_uniforms(config, rep_index, 1))
+    treatment = np.repeat([1.0, 0.0], config.n_subjects // 2)
+    return TrialData(treatment=treatment, covariate=covariate[0], outcome=outcome[0])
 
 
-def _centre_within_arms(treatment, values, n1, n0):
-    """Centre each row of ``values`` within its arms, in place; returns the
-    per-row difference of arm means, treated minus control."""
-    s1 = (treatment * values).sum(axis=1)
-    m0 = (values.sum(axis=1) - s1) / n0
-    diff = s1 / n1 - m0
-    values -= m0[:, np.newaxis]
-    values -= treatment * diff[:, np.newaxis]
-    return diff
+def _centre_within_arms(values, n1: int):
+    """Centre the treated columns [:n1] and the control columns [n1:] of each row of
+    ``values`` by their own row means, in place; returns the per-row difference of
+    arm means, treated minus control."""
+    treated, control = values[:, :n1], values[:, n1:]
+    m1, m0 = treated.mean(axis=1), control.mean(axis=1)
+    treated -= m1[:, np.newaxis]
+    control -= m0[:, np.newaxis]
+    return m1 - m0
 
 
-def _fit_batch(treatment, covariate, outcome, adjust: bool):
-    """Per-row fit of either analysis from within-arm moments: dy, dx are
-    differences of arm means, Syy, Sxy, Sxx sums of products centred within
-    arm (``covariate`` and ``outcome`` are centred in place).
+def _fit_batch(covariate, outcome, n1: int, adjust: bool):
+    """Per-row fit of either analysis of (B, n) trials whose first n1 columns are the
+    treated arm, from within-arm moments: dy, dx are differences of arm means, Syy,
+    Sxy, Sxx sums of products centred within arm (``covariate`` and ``outcome`` are
+    centred in place).
 
     Unadjusted: tau_hat = dy, se^2 = Syy/(n-2) * (1/n0 + 1/n1).
     Adjusted (Frisch-Waugh): beta = Sxy/Sxx, tau_hat = dy - beta*dx,
@@ -220,15 +223,13 @@ def _fit_batch(treatment, covariate, outcome, adjust: bool):
     Sxx/(n-2) below the floor.
     """
     n = outcome.shape[1]
-    n1 = treatment.sum(axis=1)
-    n0 = n - n1
-    arm_weight = 1.0 / n0 + 1.0 / n1
-    dy = _centre_within_arms(treatment, outcome, n1, n0)
+    arm_weight = 1.0 / (n - n1) + 1.0 / n1
+    dy = _centre_within_arms(outcome, n1)
     syy = np.einsum("ij,ij->i", outcome, outcome)
     if not adjust:
         return dy, np.sqrt(syy / (n - 2) * arm_weight), np.ones(len(dy), dtype=bool)
 
-    dx = _centre_within_arms(treatment, covariate, n1, n0)
+    dx = _centre_within_arms(covariate, n1)
     sxx = np.einsum("ij,ij->i", covariate, covariate)
     sxy = np.einsum("ij,ij->i", covariate, outcome)
     ok = sxx / (n - 2) >= _COLLINEARITY_VARIANCE_FLOOR
@@ -240,13 +241,17 @@ def _fit_batch(treatment, covariate, outcome, adjust: bool):
 
 
 def _fit_one(data: TrialData, adjust: bool) -> FitResult:
-    """``_fit_batch`` on one trial, on copies of its arrays."""
-    n1 = int(np.sum(data.treatment))
+    """``_fit_batch`` on one trial: fresh copies of its covariate and outcome with the
+    treated rows first, each arm in its given order."""
+    control = np.asarray(data.treatment) == 0
+    n1 = len(data) - int(np.count_nonzero(control))
     if n1 == 0 or n1 == len(data):
         raise DomainError("treatment must contain both arms, 0 and 1")
-    rows = (np.array(a, dtype=float, ndmin=2)
-            for a in (data.treatment, data.covariate, data.outcome))
-    tau_hat, se, ok = _fit_batch(*rows, adjust)
+    order = np.argsort(control, kind="stable")
+    # fancy indexing copies, so the in-place centring leaves the caller's arrays alone
+    covariate, outcome = (np.asarray(a, dtype=float)[np.newaxis, order]
+                          for a in (data.covariate, data.outcome))
+    tau_hat, se, ok = _fit_batch(covariate, outcome, n1, adjust)
     if not ok[0]:
         raise np.linalg.LinAlgError(
             "covariate has (numerically) zero variance within arms; design is collinear")
@@ -306,8 +311,8 @@ def run_campaign(config: SimConfig) -> SimResult:
         uniforms = _rep_uniforms(config, first, min(block_rows, config.n_reps - first))
         # bound until the next block's replace them: a whole block freed at once lets
         # malloc trim the heap top, and the next block faults those pages back in
-        treatment, covariate, outcome = _decode_trials(config, uniforms)
-        tau_hat, se, ok = _fit_batch(treatment, covariate, outcome, config.adjust)
+        covariate, outcome = _decode_trials(config, uniforms)
+        tau_hat, se, ok = _fit_batch(covariate, outcome, n // 2, config.adjust)
         n_rejections += int((ok & (np.abs(tau_hat) > critical * se)).sum())
         n_completed += int(ok.sum())
         dev = tau_hat[ok] - config.tau
@@ -342,32 +347,19 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / (tiny if abs(d) < tiny else d)
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
+        # the even and the odd half-step
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (tiny if abs(d) < tiny else d)
+            c = 1.0 + aa / c
+            c = tiny if abs(c) < tiny else c
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 

@@ -1,15 +1,19 @@
 """End-to-end acceptance gate.
 
-One test per criterion; each prints a single PASS/FAIL line (visible with
+One test per criterion, and for criterion 5 a second against the exact
+finite-sample law; each prints a single PASS/FAIL line (visible with
 ``pytest -s`` or on failure) and asserts its stated tolerance.
 """
 
+import contextlib
+import io
 import json
 import math
 import random
 import time
 
 import numpy as np
+import pytest
 
 from ancova_power import (
     TrialDesign,
@@ -82,13 +86,25 @@ def test_criterion_4_sample_size_round_trip():
     report(4, ok, f"worst round-trip error over 100 random designs: {worst:.2e}")
 
 
-def test_criterion_5_monte_carlo_power_validation(capsys):
-    start = time.perf_counter()
+@pytest.fixture(scope="module")
+def criterion_5_documents():
+    """Criterion 5's two 200k-rep ``simulate`` documents, unadjusted then adjusted,
+    and the seconds both took: run once, read by every test that checks them."""
     base = ["simulate", "--n", "126", "--tau", "0.5", "--sigma", "1",
             "--alpha", "0.05", "--reps", "200000", "--seed", "42", "--test", "t"]
-    unadj = json.loads(run_cli(capsys, *base, "--rho", "0", "--adjust", "false"))
-    adj = json.loads(run_cli(capsys, *base, "--rho", "0.5", "--adjust", "true"))
-    elapsed = time.perf_counter() - start
+    docs = []
+    start = time.perf_counter()
+    for analysis in (["--rho", "0", "--adjust", "false"], ["--rho", "0.5", "--adjust", "true"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(base + analysis)
+        assert code == 0, f"CLI exited {code}"
+        docs.append(json.loads(out.getvalue()))
+    return docs[0], docs[1], time.perf_counter() - start
+
+
+def test_criterion_5_monte_carlo_power_validation(criterion_5_documents):
+    unadj, adj, elapsed = criterion_5_documents
 
     ok_a = abs(unadj["rejection_rate"] - 0.801) <= 0.01
     ok_b = abs(adj["rejection_rate"] - 0.899) <= 0.01
@@ -100,6 +116,26 @@ def test_criterion_5_monte_carlo_power_validation(capsys):
                   f"adjusted rate {adj['rejection_rate']:.4f} (0.899 +- 0.01), "
                   f"SE ratios {ratio_unadj:.4f}/{ratio_adj:.4f} (1 +- 0.02), "
                   f"{elapsed:.1f}s")
+
+
+def test_criterion_5_matches_the_finite_sample_law(criterion_5_documents, oracle):
+    # the asymptotic power criterion 5 is centred on sits 8-10 MC standard errors
+    # from the rates; the exact finite-sample law (Shieh 2020) is their target
+    details, ok = [], True
+    for doc in criterion_5_documents[:2]:
+        n, adjust = doc["n"], doc["adjust"]
+        power = oracle.finite_sample_power(doc["alpha"], doc["tau"], doc["sigma"],
+                                           doc["rho"], n, adjust)
+        se = oracle.finite_sample_se(doc["sigma"], doc["rho"], n, adjust)
+        # the standard error of a sample SD: sd * sqrt((kurtosis - 1) / (4 reps))
+        se_of_sd = se * math.sqrt((oracle.tau_hat_kurtosis(n, adjust) - 1.0)
+                                  / (4.0 * doc["n_reps_completed"]))
+        z_rate = (doc["rejection_rate"] - power) / doc["mc_stderr"]
+        z_se = (doc["empirical_se_tau_hat"] - se) / se_of_sd
+        ok = ok and abs(z_rate) <= 4.0 and abs(z_se) <= 4.0
+        details.append(f"{'adjusted' if adjust else 'unadjusted'} rate z {z_rate:+.2f} "
+                       f"vs {power:.6f}, SE z {z_se:+.2f} vs {se:.6f}")
+    report(5, ok, "finite-sample law: " + ", ".join(details) + " (|z| <= 4)")
 
 
 def test_criterion_6_type_one_calibration(capsys):

@@ -3,10 +3,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ancova_power
 from ancova_power import cli
 from ancova_power.cli import main
 
@@ -230,6 +235,27 @@ class TestContracts:
         row_columns = "r exact_ratio series_ratio thumb_ratio "
         header = row_columns + keys.replace(" rows", "") if "rows" in keys else keys
         assert out.split("\n")[0] == header.replace(" ", ",")
+
+    def test_runtime_loads_no_module_beyond_numpy(self):
+        # the package promises numpy alone; the suite itself loads scipy as an oracle,
+        # so only a fresh interpreter can show what the library and CLI import
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "import ancova_power",
+            "from ancova_power.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    codes = [main(['simulate', '--n', '8', '--tau', '0.5', '--sigma', '1',",
+            "                   '--reps', '50']),",
+            "             main(['curve', '--r-max', '0.2', '--step', '0.1'])]",
+            "print(codes, sorted(m for m in sys.modules",
+            "                    if m.partition('.')[0] in ('scipy', 'mpmath', 'statsmodels')))",
+        ])
+        src = str(Path(ancova_power.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[0, 0] []\n"
 
     def test_diagnostics_go_to_stderr_only(self, capsys):
         code, out, err = run_cli(capsys, "ratio", "--r", "1.5")

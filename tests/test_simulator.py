@@ -92,9 +92,8 @@ class TestGenerateTrial:
     def test_batched_decode_matches_single_rep(self):
         cfg = make_config()
         uniforms = _rep_uniforms(cfg, 0, 8)
-        treatment, covariate, outcome = _decode_trials(cfg, uniforms)
+        covariate, outcome = _decode_trials(cfg, uniforms)
         d = generate_trial(cfg, 3)
-        assert np.array_equal(treatment[3], d.treatment)
         assert np.array_equal(covariate[3], d.covariate)
         assert np.array_equal(outcome[3], d.outcome)
 
@@ -112,25 +111,25 @@ class TestGenerateTrial:
 
     def test_independent_when_rho_zero(self):
         cfg = make_config(n_subjects=1000, rho=0.0, tau=0.0)
-        treatment, covariate, outcome = self._pooled_rows(cfg)
+        covariate, outcome = self._pooled_rows(cfg)
         corr = np.corrcoef(covariate.ravel(), outcome.ravel())[0, 1]
         assert abs(corr) <= 0.005
 
     def test_within_arm_outcome_sd_is_sigma(self):
         cfg = make_config(n_subjects=1000, rho=0.5, tau=0.0)
-        _, _, outcome = self._pooled_rows(cfg)
+        _, outcome = self._pooled_rows(cfg)
         assert float(np.std(outcome)) == pytest.approx(1.0, abs=0.005)
 
     def test_within_arm_correlation_is_rho(self):
         cfg = make_config(n_subjects=1000, rho=0.5, tau=0.0)
-        _, covariate, outcome = self._pooled_rows(cfg)
+        covariate, outcome = self._pooled_rows(cfg)
         corr = np.corrcoef(covariate.ravel(), outcome.ravel())[0, 1]
         assert corr == pytest.approx(0.5, abs=0.005)
 
     def test_arm_mean_difference_is_tau(self):
         cfg = make_config(n_subjects=1000, rho=0.3, tau=0.5)
-        treatment, _, outcome = self._pooled_rows(cfg)
-        diff = outcome[treatment == 1.0].mean() - outcome[treatment == 0.0].mean()
+        _, outcome = self._pooled_rows(cfg)
+        diff = outcome[:, :500].mean() - outcome[:, 500:].mean()
         assert diff == pytest.approx(0.5, abs=0.01)
 
     def test_rejects_negative_rep_index(self):
@@ -315,6 +314,53 @@ class TestFitUnadjusted:
                                         np.array([1.0, 2.0, 4.0]))).df == 1
 
 
+def _unbalanced_trial():
+    """7 treated and 13 control rows, treated first."""
+    rng = np.random.default_rng(12)
+    t = np.repeat([1.0, 0.0], [7, 13])
+    x = rng.normal(size=20)
+    return t, x, 0.3 * t + 0.8 * x + rng.normal(size=20)
+
+
+class TestFitArmLayout:
+    """The single-trial fits copy a trial's treated rows first, keeping each arm's
+    order, and fit that layout."""
+
+    @pytest.mark.parametrize("fit", [fit_ancova, fit_unadjusted])
+    @pytest.mark.parametrize("layout", ["treated first", "control first", "interleaved"])
+    def test_leaves_the_callers_arrays_unchanged(self, fit, layout):
+        # the fit centres in place: were the treated-first trial fitted through a
+        # view, it would overwrite the caller's covariate and outcome
+        t, x, y = _unbalanced_trial()
+        order = {"treated first": list(range(20)), "control first": list(range(19, -1, -1)),
+                 "interleaved": [0, 7, 1, 8, 2, 9, 3, 10, 4, 11, 5, 12, 6, 13, *range(14, 20)]}
+        arrays = [a[order[layout]] for a in (t, x, y)]
+        before = [a.copy() for a in arrays]
+        fit(TrialData(*arrays))
+        for array, kept in zip(arrays, before):
+            assert np.array_equal(array, kept)
+
+    @pytest.mark.parametrize("fit", [fit_ancova, fit_unadjusted])
+    def test_row_order_does_not_matter(self, fit):
+        t, x, y = _unbalanced_trial()
+        ref = fit(TrialData(t, x, y))
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            p = rng.permutation(20)
+            got = fit(TrialData(t[p], x[p], y[p]))
+            assert got.tau_hat == pytest.approx(ref.tau_hat, rel=1e-12)
+            assert got.se_tau_hat == pytest.approx(ref.se_tau_hat, rel=1e-12)
+
+    @pytest.mark.parametrize("fit", [fit_ancova, fit_unadjusted])
+    def test_interleaved_arms_match_sorted_arms(self, fit):
+        # each arm keeps its order, so both trials reach the fit as the same arrays
+        rng = np.random.default_rng(14)
+        t = np.array([1.0, 0.0] * 10)
+        x, y = rng.normal(size=(2, 20))
+        assert fit(TrialData(t, x, y)) == fit(TrialData(
+            np.repeat([1.0, 0.0], 10), np.r_[x[::2], x[1::2]], np.r_[y[::2], y[1::2]]))
+
+
 class TestStudentTCritical:
     def test_normal_limit(self):
         assert student_t_critical(0.05, 10**6) == pytest.approx(1.95996, abs=1e-4)
@@ -365,7 +411,7 @@ class TestRunCampaign:
         # reference: every rep fitted at once, each sum rounded once by math.fsum
         cfg = make_config(n_subjects=20, adjust=adjust, seed=seed, n_reps=4096 + 37)
         uniforms = _rep_uniforms(cfg, 0, cfg.n_reps)
-        tau_hat, se, ok = simulate._fit_batch(*_decode_trials(cfg, uniforms), adjust)
+        tau_hat, se, ok = simulate._fit_batch(*_decode_trials(cfg, uniforms), 10, adjust)
         critical = student_t_critical(cfg.alpha, 17 if adjust else 18)
         dev = (tau_hat[ok] - cfg.tau).tolist()
         n = len(dev)
@@ -498,7 +544,7 @@ class TestRunCampaign:
                      "0x1.994da556fb668p-2", "0x1.8c97ef43f7248p-2", "0x1.0263760b260adp-2")),
         (True, -0.4, ("0x1.54a6921735ee4p-3", "0x1.bd8f1709b6ac6p-8", "-0x1.ad0831c915040p-2",
                       "0x1.994da556fb668p-2", "0x1.8c97ef43f7248p-2", "0x1.6d2989cc8aca6p-3")),
-        (False, 0.5, ("0x1.624dd2f1a9fbep-3", "0x1.c49469e8b1412p-8", "0x1.e82e57c9d1a88p-2",
+        (False, 0.5, ("0x1.624dd2f1a9fbep-3", "0x1.c49469e8b1412p-8", "0x1.e82e57c9d1a89p-2",
                       "0x1.c8b9eec0e781cp-2", "0x1.c9f25c5bfedd9p-2", "0x1.9b8e9583dfd39p-3")),
         (False, -0.4, ("0x1.263ab596de8cap-3", "0x1.a3ae31c56afdbp-8", "-0x1.b16b41cfc7f12p-2",
                        "0x1.c8b9eec0e781cp-2", "0x1.c9f25c5bfedd9p-2", "0x1.29ed7e1a235c4p-3")),
