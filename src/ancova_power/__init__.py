@@ -6,13 +6,14 @@ analytic formulas.
 """
 
 # the package exports each module's public names, as its __all__ lists them
-from . import errors, normal_math, power_engine, simulate
+from . import errors, normal_math, power_engine, simulate, student_t
 from .errors import *
 from .normal_math import *
 from .power_engine import *
 from .simulate import *
+from .student_t import *
 
 __version__ = "0.1.0"
 
 __all__ = [*errors.__all__, *normal_math.__all__, *power_engine.__all__, *simulate.__all__,
-           "__version__"]
+           *student_t.__all__, "__version__"]

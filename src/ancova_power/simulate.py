@@ -17,7 +17,8 @@ once at the end, so results do not depend on the block size or the order of
 the blocks.
 Normal variates come from the inverse-CDF transform through
 ``normal_math.std_normal_quantile``, keeping the whole stack
-self-consistent.
+self-consistent. The t test's critical value is ``student_t_critical``,
+bound here by name from the math-only ``student_t`` module.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from .errors import DomainError
 from .normal_math import std_normal_quantile
 from .power_engine import TrialDesign, asymptotic_variance, exact_power_two_term
+from .student_t import student_t_critical
 
 __all__ = [
     "SimConfig",
@@ -42,7 +44,6 @@ __all__ = [
     "fit_ancova",
     "fit_unadjusted",
     "run_campaign",
-    "student_t_critical",
 ]
 
 TEST_KINDS = ("wald_z", "student_t")
@@ -54,6 +55,10 @@ _COLLINEARITY_VARIANCE_FLOOR = 1e-12
 # uniforms drawn, decoded and fitted at a time (512 KB): a block of rows stays
 # in cache from draw to fit, and a campaign's working set is one block
 _BLOCK_VALUES = 65536
+
+# a block is never smaller than one trial row of 2n uniforms, so a campaign's peak
+# memory grows by about 82 bytes per subject: 2**20 subjects peak near 82 MiB
+_MAX_SUBJECTS = 2**20
 
 
 def _check_integer(name: str, value) -> None:
@@ -78,10 +83,11 @@ class SimConfig:
     def __post_init__(self):
         for name in ("n_subjects", "n_reps", "seed"):
             _check_integer(name, getattr(self, name))
-        if self.n_subjects < 4 or self.n_subjects % 2 != 0:
+        if not 4 <= self.n_subjects <= _MAX_SUBJECTS or self.n_subjects % 2 != 0:
             raise DomainError(
-                f"n_subjects must be an even integer >= 4 (exact 1:1 split, at least "
-                f"one residual degree of freedom), got {self.n_subjects}"
+                f"n_subjects must be an even integer in [4, {_MAX_SUBJECTS}] (exact 1:1 "
+                f"split, at least one residual degree of freedom, a bounded working set), "
+                f"got {self.n_subjects}"
             )
         if self.n_reps < 1:
             raise DomainError(f"n_reps must be >= 1, got {self.n_reps}")
@@ -337,77 +343,3 @@ def run_campaign(config: SimConfig) -> SimResult:
         analytic_power=exact_power_two_term(design),
         n_reps_completed=n_completed,
     )
-
-
-# --- Student t critical values via the regularized incomplete beta ---
-
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    d = 1.0 / (tiny if abs(d) < tiny else d)
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        # the even and the odd half-step
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + aa * d
-            d = 1.0 / (tiny if abs(d) < tiny else d)
-            c = 1.0 + aa / c
-            c = tiny if abs(c) < tiny else c
-            h *= d * c
-        if abs(d * c - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
-
-
-def _betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
-
-
-def _t_two_sided_p(t: float, df: int) -> float:
-    """P(|T_df| >= t) for t >= 0."""
-    if t == 0.0:
-        return 1.0
-    return _betainc_reg(0.5 * df, 0.5, df / (df + t * t))
-
-
-def student_t_critical(alpha: float, df: int) -> float:
-    """Two-sided critical value t such that P(|T_df| > t) = alpha.
-
-    Bisection on the incomplete-beta t CDF; converges to the normal
-    critical value as df grows. Relative error below 1e-10.
-    """
-    if df < 1:
-        raise DomainError(f"df must be >= 1, got {df}")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-
-    lo, hi = 0.0, 2.0
-    while _t_two_sided_p(hi, df) > alpha:
-        hi *= 2.0
-        if hi > 1e308:
-            raise ArithmeticError("failed to bracket the t critical value")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _t_two_sided_p(mid, df) > alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10 * max(1.0, lo):
-            break
-    return 0.5 * (lo + hi)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -167,6 +168,15 @@ class TestSimulateCommand:
         assert exc.value.code == 2
         assert "even" in capsys.readouterr().err
 
+    def test_t_critical_value_past_overflow_exits_1(self, capsys):
+        # at df = 1 the critical value 1/tan(pi*alpha/2) = 6.4e199 has no finite square
+        code, out, err = run_cli(capsys, "simulate", "--n", "4", "--tau", "0.5",
+                                 "--sigma", "1", "--reps", "10", "--alpha", "1e-200",
+                                 "--test", "t")
+        assert code == 1
+        assert out == ""
+        assert "alpha = 1e-200 and df = 1" in err
+
     def test_csv_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "csv")
         header, row = out.strip().split("\n")
@@ -257,6 +267,28 @@ class TestContracts:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[0, 0] []\n"
 
+    def test_layers_import_only_the_layers_below(self):
+        # the math modules sit below the engine, the engine below the simulator, and
+        # only the CLI may import them all: a module never imports one above it
+        below = {"errors": set(), "normal_math": {"errors"}, "student_t": {"errors"},
+                 "power_engine": {"errors", "normal_math", "student_t"},
+                 "simulate": {"errors", "normal_math", "student_t", "power_engine"}}
+        package = Path(ancova_power.__file__).parent
+        assert {p.stem for p in package.glob("*.py")} == {*below, "cli", "__init__"}
+        for module, allowed in below.items():
+            imported = set()
+            for node in ast.walk(ast.parse((package / f"{module}.py").read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level > 0:
+                    imported |= {node.module} if node.module else {a.name for a in node.names}
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    # the package imports itself by relative name only
+                    names = [node.module] if isinstance(node, ast.ImportFrom) else \
+                        [a.name for a in node.names]
+                    assert all(n.partition(".")[0] != "ancova_power" for n in names), module
+            assert imported <= allowed, (module, imported - allowed)
+        assert len(set(ancova_power.__all__)) == len(ancova_power.__all__)
+        assert ancova_power.student_t_critical is ancova_power.simulate.student_t_critical
+
     def test_diagnostics_go_to_stderr_only(self, capsys):
         code, out, err = run_cli(capsys, "ratio", "--r", "1.5")
         assert code == 1
@@ -285,6 +317,8 @@ class TestInputContract:
         (["ratio", "--alpha", "5e-324", "--r", "0.5"], "alpha"),
         (["simulate", "--n", "126", "--tau", "0.5", "--sigma", "1", "--reps", "10",
           "--alpha", "5e-324", "--test", "z"], "alpha"),
+        (["simulate", "--n", "2000000000", "--tau", "0.5", "--sigma", "1", "--reps", "10"],
+         "n_subjects"),
     ])
     def test_bad_input_exits_1_before_compute(self, capsys, monkeypatch, argv, names):
         def must_not_run(*args):

@@ -36,10 +36,17 @@ class TestSimConfig:
         dict(sigma=1e-150, rho=0.999999999999),
         # counts and seeds that are not integers
         dict(n_subjects=126.0), dict(n_reps=10.5), dict(seed=1.5), dict(seed=1.9),
+        # a block holds at least one trial row, so memory grows with n
+        dict(n_subjects=2**20 + 2),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
             make_config(**kwargs)
+
+    def test_subject_cap_is_named(self):
+        assert make_config(n_subjects=2**20).n_subjects == 2**20
+        with pytest.raises(DomainError, match=r"n_subjects must be an even integer in \[4, "):
+            make_config(n_subjects=2**20 + 2)
 
     @pytest.mark.parametrize("name, value", [
         ("n_subjects", 126.0), ("n_reps", 10.5), ("seed", 1.5), ("seed", 1.9),
@@ -359,35 +366,6 @@ class TestFitArmLayout:
         x, y = rng.normal(size=(2, 20))
         assert fit(TrialData(t, x, y)) == fit(TrialData(
             np.repeat([1.0, 0.0], 10), np.r_[x[::2], x[1::2]], np.r_[y[::2], y[1::2]]))
-
-
-class TestStudentTCritical:
-    def test_normal_limit(self):
-        assert student_t_critical(0.05, 10**6) == pytest.approx(1.95996, abs=1e-4)
-
-    def test_df1_arctangent_closed_form(self):
-        # the df=1 CDF inverts to tan(pi*(0.5 - alpha/2))
-        assert student_t_critical(0.05, 1) == pytest.approx(
-            math.tan(math.pi * (0.5 - 0.025)), rel=1e-10)
-
-    def test_df2_closed_form(self):
-        # solving t/sqrt(t^2+2) = 1 - alpha for the df=2 CDF
-        alpha = 0.05
-        expected = (1 - alpha) * math.sqrt(2.0 / (alpha * (2.0 - alpha)))
-        assert student_t_critical(alpha, 2) == pytest.approx(expected, rel=1e-10)
-
-    def test_matches_scipy_closely(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
-        for df in (3, 10, 30, 123, 1000):
-            for alpha in (0.01, 0.05, 0.2):
-                ref = float(scipy_stats.t.ppf(1.0 - alpha / 2.0, df))
-                assert student_t_critical(alpha, df) == pytest.approx(ref, rel=1e-10)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            student_t_critical(0.05, 0)
-        with pytest.raises(DomainError):
-            student_t_critical(1.5, 10)
 
 
 class TestRunCampaign:
