@@ -4,21 +4,21 @@ Simulates 1:1 randomized trials with one baseline covariate, fits either
 an ANCOVA (outcome ~ intercept + treatment + covariate) or an unadjusted
 two-sample comparison, and aggregates empirical rejection rates.
 
-Reproducibility: replication r draws values [2n*r, 2n*(r+1)) of one
-counter-based Philox stream keyed (seed, 0) (Salmon et al. 2011): rep r's
-stretch of the seed's stream, a pure function of (seed, rep, n), reached by
-advancing the counter. The first n/2 subjects are treated: subjects are iid
-and both fits ignore their order, so every analysed statistic has the law of
-a random balanced assignment. The batch fit takes that layout, the treated
-arm in each row's first n1 columns; ``fit_ancova`` and ``fit_unadjusted``
-copy a trial's treated rows first, keeping order. A campaign is one loop
-over blocks of replications, and its two float sums are exact and rounded
-once at the end, so results do not depend on the block size or the order of
-the blocks.
-Normal variates come from the inverse-CDF transform through
-``normal_math.std_normal_quantile``, keeping the whole stack
-self-consistent. The t test's critical value is ``student_t_critical``,
-bound here by name from the math-only ``student_t`` module.
+Reproducibility: replications come in groups of G = max(1, 65536 // 2n), one
+group per counter-based Philox key (Salmon et al. 2011). Replication r is row
+r mod G of the (rows, 2n) standard normals that numpy's ziggurat sampler
+(``Generator.standard_normal``) draws from the stream keyed (seed, r // G): a
+pure function of (seed, rep, n). Its first n columns are the covariate and the
+rest the noise. The first n/2 subjects are treated: subjects are iid and both
+fits ignore their order, so every analysed statistic has the law of a random
+balanced assignment. The batch fit takes that layout, the treated arm in each
+row's first n1 columns; ``fit_ancova`` and ``fit_unadjusted`` copy a trial's
+treated rows first, keeping order. A campaign is one loop over groups, each
+drawn, fitted and reduced by one function; its counts are integers and its two
+float sums are exact and rounded once at the end, so results do not depend on
+the order in which the groups are folded. The t test's critical value is
+``student_t_critical``, bound here by name from the math-only ``student_t``
+module; the Wald-z one is ``normal_math.std_normal_quantile``'s.
 """
 
 from __future__ import annotations
@@ -52,12 +52,13 @@ TEST_KINDS = ("wald_z", "student_t")
 # variance cannot be adjusted for and are skipped
 _COLLINEARITY_VARIANCE_FLOOR = 1e-12
 
-# uniforms drawn, decoded and fitted at a time (512 KB): a block of rows stays
-# in cache from draw to fit, and a campaign's working set is one block
+# normals drawn from one Philox key and fitted at a time (512 KB): a group of rows
+# stays in cache from draw to fit, and a campaign's working set is one group
 _BLOCK_VALUES = 65536
 
-# a block is never smaller than one trial row of 2n uniforms, so a campaign's peak
-# memory grows by about 82 bytes per subject: 2**20 subjects peak near 82 MiB
+# a group is never smaller than one trial row of 2n normals, so a campaign's peak
+# memory grows by about 24 bytes per subject (the row's normals and its outcomes):
+# 2**20 subjects peak near 24 MiB
 _MAX_SUBJECTS = 2**20
 
 
@@ -100,8 +101,9 @@ class SimConfig:
         TrialDesign(alpha=self.alpha, tau=self.tau, sigma=self.sigma,
                     n_total=float(self.n_subjects), r=self.rho)
         # the campaign sums squares over subjects and over replications of values
-        # below 128*(|tau| + sigma) (twice an outcome; |x|, |eps| <= 38.5 for any
-        # double uniform); the noise's squares must stay normal floats
+        # below 128*(|tau| + sigma) (twice an outcome; numpy's ziggurat gives
+        # |x|, |eps| < r + sqrt(2*53*ln 2) = 3.654 + 8.572 < 12.3); the noise's
+        # squares must stay normal floats
         top = 128.0 * (abs(self.tau) + self.sigma)
         if not top * top * max(self.n_subjects, self.n_reps) < sys.float_info.max:
             raise DomainError(
@@ -159,27 +161,23 @@ class SimResult:
     n_reps_completed: int
 
 
-def _rep_uniforms(config: SimConfig, first: int, count: int) -> np.ndarray:
-    """The 2n uniform draws of replications first, ..., first + count - 1, one row
-    each: rep r's row is values [2n*r, 2n*(r+1)) of the stream of Philox keyed
-    (seed, 0), rep r's stretch of the seed's stream, a pure function of (seed, rep, n)."""
-    bit_gen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
-    # one counter gives 4 values and 2n is a multiple of 4; advance() takes Python
-    # ints only (any numpy integer raises OverflowError)
-    bit_gen.advance(int(first) * int(config.n_subjects) // 2)
-    out = np.random.Generator(bit_gen).random((count, 2 * config.n_subjects))
-    # random() lands in [0, 1); keep the quantile's domain open
-    return np.maximum(out, 5e-324, out=out)
+def _group_rows(n_subjects: int) -> int:
+    """G, the replications per Philox key: as many 2n-normal rows as fit in
+    ``_BLOCK_VALUES`` values, and at least one."""
+    return max(1, _BLOCK_VALUES // (2 * n_subjects))
 
 
-def _decode_trials(config: SimConfig, uniforms: np.ndarray):
-    """Map (B, 2n) uniforms to covariate and outcome arrays (B, n) whose first n/2
-    columns are the treated arm: subjects are iid and both fits ignore their order,
-    so every analysed statistic has the law it has under a random balanced
-    assignment."""
+def _group_trials(config: SimConfig, group: int, rows: int):
+    """Covariate and outcome arrays (rows, n) of the first ``rows`` replications of
+    ``group``, from (rows, 2n) standard normals of the Philox stream keyed
+    (seed, group): the covariate x is each row's first n columns and the unit noise
+    the rest. The first n/2 columns are the treated arm: subjects are iid and both
+    fits ignore their order, so every analysed statistic has the law it has under a
+    random balanced assignment."""
     n = config.n_subjects
-    x = std_normal_quantile(uniforms[:, :n])
-    eps = std_normal_quantile(uniforms[:, n:])
+    key = np.array([config.seed, group], dtype=np.uint64)
+    normals = np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, 2 * n))
+    x, eps = normals[:, :n], normals[:, n:]
     eps *= config.sigma * math.sqrt(1.0 - config.rho**2)
     # tau*t + sigma*rho*x + eps without the full-size temporaries: tau*1 is tau,
     # and tau*0 adds nothing
@@ -191,16 +189,18 @@ def _decode_trials(config: SimConfig, uniforms: np.ndarray):
 
 def generate_trial(config: SimConfig, rep_index: int) -> TrialData:
     """Simulate replication ``rep_index``: x ~ N(0,1), y = tau*t + sigma*rho*x + eps
-    with eps ~ N(0, sigma^2*(1-rho^2)), from rep r's stretch of the seed's stream, a
-    pure function of (seed, rep, n). The first n/2 subjects are treated: subjects are
-    iid and both fits ignore their order, so this has the law of a random balanced
-    assignment."""
+    with eps ~ N(0, sigma^2*(1-rho^2)), the campaign's row of that rep: row r mod G
+    of group r // G, a pure function of (seed, rep, n). The first n/2 subjects are
+    treated: subjects are iid and both fits ignore their order, so this has the law
+    of a random balanced assignment."""
     _check_integer("rep_index", rep_index)
     if not (0 <= rep_index < 2**64):
         raise DomainError(f"rep_index must be a 64-bit unsigned integer, got {rep_index}")
-    covariate, outcome = _decode_trials(config, _rep_uniforms(config, rep_index, 1))
+    # the group's rows are one draw, so a rep is the last of its group's first rows
+    group, row = divmod(int(rep_index), _group_rows(config.n_subjects))
+    covariate, outcome = _group_trials(config, group, row + 1)
     treatment = np.repeat([1.0, 0.0], config.n_subjects // 2)
-    return TrialData(treatment=treatment, covariate=covariate[0], outcome=outcome[0])
+    return TrialData(treatment=treatment, covariate=covariate[-1], outcome=outcome[-1])
 
 
 def _centre_within_arms(values, n1: int):
@@ -292,36 +292,29 @@ def _exact_add(terms: list, values: np.ndarray) -> list:
     return out
 
 
-def run_campaign(config: SimConfig) -> SimResult:
-    """Run the full campaign and aggregate rejections.
+class _GroupResult(NamedTuple):
+    rejections: int
+    completed: int
+    deviations: np.ndarray  # tau_hat - tau of the completed reps
 
-    One loop over blocks of rows of at most ``_BLOCK_VALUES`` uniforms, each drawn,
-    decoded, fitted and reduced in turn. Each row's fit depends on its own draws only,
-    the counts are integers and the two float sums are exact and rounded once at the
-    end, so no block size or block order changes any result.
-    """
-    n = config.n_subjects
-    df = n - 3 if config.adjust else n - 2
-    if config.test_kind == "wald_z":
-        # 1 - alpha/2 would lose alpha's low digits, and round to 1 below ~2.2e-16
-        critical = -std_normal_quantile(config.alpha / 2.0)
-    else:
-        critical = student_t_critical(config.alpha, df)
 
+def _run_group(config: SimConfig, critical: float, group: int, rows: int) -> _GroupResult:
+    """Draw, fit and test the first ``rows`` replications of ``group``."""
+    covariate, outcome = _group_trials(config, group, rows)
+    tau_hat, se, ok = _fit_batch(covariate, outcome, config.n_subjects // 2, config.adjust)
+    return _GroupResult(rejections=int((ok & (np.abs(tau_hat) > critical * se)).sum()),
+                        completed=int(ok.sum()), deviations=tau_hat[ok] - config.tau)
+
+
+def _fold(config: SimConfig, results) -> SimResult:
+    """Aggregate the ``_GroupResult``s of a campaign, in any order: the counts are
+    integers and the two float sums are exact until rounded once here."""
     n_rejections = n_completed = 0
     # exact sums of tau_hat - tau: those of tau_hat itself cancel when |tau| dwarfs the SE
     sum_dev, sum_dev_sq = [], []
-
-    block_rows = max(1, _BLOCK_VALUES // (2 * n))
-    for first in range(0, config.n_reps, block_rows):
-        uniforms = _rep_uniforms(config, first, min(block_rows, config.n_reps - first))
-        # bound until the next block's replace them: a whole block freed at once lets
-        # malloc trim the heap top, and the next block faults those pages back in
-        covariate, outcome = _decode_trials(config, uniforms)
-        tau_hat, se, ok = _fit_batch(covariate, outcome, n // 2, config.adjust)
-        n_rejections += int((ok & (np.abs(tau_hat) > critical * se)).sum())
-        n_completed += int(ok.sum())
-        dev = tau_hat[ok] - config.tau
+    for rejections, completed, dev in results:
+        n_rejections += rejections
+        n_completed += completed
         sum_dev = _exact_add(sum_dev, dev)
         sum_dev_sq = _exact_add(sum_dev_sq, dev ** 2)
 
@@ -333,7 +326,7 @@ def run_campaign(config: SimConfig) -> SimResult:
         emp_var = 0.0
 
     design = TrialDesign(alpha=config.alpha, tau=config.tau, sigma=config.sigma,
-                         n_total=float(n), r=config.rho if config.adjust else 0.0)
+                         n_total=float(config.n_subjects), r=config.rho if config.adjust else 0.0)
     return SimResult(
         rejection_rate=rate,
         mc_stderr=math.sqrt(rate * (1.0 - rate) / n_completed),
@@ -343,3 +336,21 @@ def run_campaign(config: SimConfig) -> SimResult:
         analytic_power=exact_power_two_term(design),
         n_reps_completed=n_completed,
     )
+
+
+def run_campaign(config: SimConfig) -> SimResult:
+    """Run the full campaign and aggregate rejections.
+
+    One loop over the campaign's groups of at most G = ``_group_rows(n)`` rows, each
+    drawn from its own Philox key, fitted and tested by ``_run_group``, and folded in
+    group order by ``_fold``. No fold order changes any result.
+    """
+    n = config.n_subjects
+    if config.test_kind == "wald_z":
+        # 1 - alpha/2 would lose alpha's low digits, and round to 1 below ~2.2e-16
+        critical = -std_normal_quantile(config.alpha / 2.0)
+    else:
+        critical = student_t_critical(config.alpha, n - 3 if config.adjust else n - 2)
+    rows = _group_rows(n)
+    return _fold(config, (_run_group(config, critical, group, min(rows, config.n_reps - first))
+                          for group, first in enumerate(range(0, config.n_reps, rows))))

@@ -58,15 +58,31 @@ def _betainc_reg(a: float, b: float, x: float) -> float:
 def student_t_critical(alpha: float, df: int) -> float:
     """Two-sided critical value t such that P(|T_df| > t) = alpha.
 
-    Bisection on P(|T_df| >= t) = I_{df/(df+t^2)}(df/2, 1/2); converges to the
-    normal critical value as df grows. Relative error below 1e-10. A critical
-    value whose square would overflow (df = 1 at alpha below about 1e-154)
-    raises ArithmeticError.
+    df = 1 and df = 2 in closed form: 1/tan(pi*alpha/2), computed as
+    tan(pi*(1 - alpha)/2) for alpha >= 1/2, where 1 - alpha is exact, and
+    (1 - alpha)*sqrt(2/(alpha*(2 - alpha))). df >= 3 by bisection on
+    P(|T_df| >= t) = I_{df/(df+t^2)}(df/2, 1/2); converges to the normal critical
+    value as df grows. Relative error below 1e-10. A critical value that is not a
+    finite float (df = 1 at alpha below about 3.5e-309) raises ArithmeticError.
     """
     if not 1 <= df < math.inf:
         raise DomainError(f"df must be finite and >= 1, got {df}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+
+    if df == 1:
+        # the Cauchy quantile: P(|T_1| > t) = 1 - (2/pi)*atan(t)
+        t = (math.tan(0.5 * math.pi * (1.0 - alpha)) if alpha >= 0.5
+             else 1.0 / math.tan(0.5 * math.pi * alpha))
+        if t == math.inf:
+            raise ArithmeticError(
+                f"the t critical value at alpha = {alpha} and df = {df} exceeds the float "
+                "range")
+        return t
+    if df == 2:
+        # P(|T_2| > t) = 1 - t/sqrt(t^2 + 2); the root of alpha is taken alone so
+        # that a subnormal alpha keeps its digits
+        return (1.0 - alpha) * math.sqrt(2.0 / (2.0 - alpha)) / math.sqrt(alpha)
 
     lo, hi = 0.0, 2.0
     while _betainc_reg(0.5 * df, 0.5, df / (df + hi * hi)) > alpha:

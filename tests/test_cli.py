@@ -169,13 +169,23 @@ class TestSimulateCommand:
         assert "even" in capsys.readouterr().err
 
     def test_t_critical_value_past_overflow_exits_1(self, capsys):
-        # at df = 1 the critical value 1/tan(pi*alpha/2) = 6.4e199 has no finite square
+        # at df = 1 the critical value 1/tan(pi*alpha/2) = 6.4e309 is past DBL_MAX
         code, out, err = run_cli(capsys, "simulate", "--n", "4", "--tau", "0.5",
-                                 "--sigma", "1", "--reps", "10", "--alpha", "1e-200",
+                                 "--sigma", "1", "--reps", "10", "--alpha", "1e-310",
                                  "--test", "t")
         assert code == 1
         assert out == ""
-        assert "alpha = 1e-200 and df = 1" in err
+        assert "alpha = 1e-310 and df = 1" in err
+
+    def test_t_critical_value_with_no_finite_square_exits_0(self, capsys):
+        # at df = 1 the critical value 1/tan(pi*alpha/2) = 6.4e199 has no finite
+        # square, but is itself finite
+        code, out, _ = run_cli(capsys, "simulate", "--n", "4", "--tau", "0.5",
+                               "--sigma", "1", "--reps", "10", "--alpha", "1e-200",
+                               "--test", "t")
+        assert code == 0
+        _assert_finite_document(out, "json")
+        assert json.loads(out)["rejection_rate"] == 0.0
 
     def test_csv_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--format", "csv")

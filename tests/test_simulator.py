@@ -15,7 +15,7 @@ from ancova_power import (
     student_t_critical,
 )
 from ancova_power import simulate
-from ancova_power.simulate import _decode_trials, _rep_uniforms
+from ancova_power.simulate import _fold, _group_rows, _group_trials, _run_group
 
 
 def make_config(**overrides):
@@ -79,42 +79,54 @@ class TestGenerateTrial:
         assert not np.array_equal(
             d1.outcome, generate_trial(make_config(seed=43), 5).outcome)
 
-    def test_streams_are_fresh_keyed_philox(self):
-        # rep r's row is values [2n*r, 2n*(r+1)) of the stream of Philox keyed
-        # (seed, 0): any block of rows is a slice of one contiguous draw
-        cfg = make_config(n_subjects=20, seed=2**63 + 5)
-        key = np.array([cfg.seed, 0], dtype=np.uint64)
-        stream = np.random.Generator(np.random.Philox(key=key)).random(40 * 12)
-        stream = np.maximum(stream, 5e-324).reshape(12, 40)
-        for first, count in [(0, 12), (0, 1), (1, 1), (3, 5), (7, 5), (11, 1)]:
-            assert np.array_equal(_rep_uniforms(cfg, first, count), stream[first:first + count])
-        # far reps: a Philox built at the rep's counter (4 values per counter),
-        # and a lone rep equals its row in a block
-        for r in (2**40, 2**64 - 3):
-            at_counter = np.random.Philox(counter=r * 20 // 2, key=key)
-            row = np.maximum(np.random.Generator(at_counter).random(40), 5e-324)
-            assert np.array_equal(_rep_uniforms(cfg, r, 1)[0], row)
-            assert np.array_equal(_rep_uniforms(cfg, r - 2, 3)[2], row)
+    def test_groups_are_keyed_philox_normals(self):
+        # group g's rows are the (rows, 2n) standard normals of Philox keyed (seed, g):
+        # covariate first, then the noise that the outcome scales
+        cfg = make_config(n_subjects=20, tau=0.7, sigma=1.5, rho=0.6, seed=2**63 + 5)
+        treated = np.repeat([1.0, 0.0], 10)
+        for group, rows in [(0, 1), (0, 12), (1, 5), (2**64 - 1, 3)]:
+            key = np.array([cfg.seed, group], dtype=np.uint64)
+            z = np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, 40))
+            x, eps = z[:, :20], z[:, 20:]
+            outcome = (cfg.sigma * cfg.rho * x + np.where(treated == 1.0, cfg.tau, 0.0)
+                       + eps * (cfg.sigma * math.sqrt(1.0 - cfg.rho**2)))
+            covariate, got = _group_trials(cfg, group, rows)
+            assert np.array_equal(covariate, x)
+            assert np.array_equal(got, outcome)
 
-    def test_batched_decode_matches_single_rep(self):
-        cfg = make_config()
-        uniforms = _rep_uniforms(cfg, 0, 8)
-        covariate, outcome = _decode_trials(cfg, uniforms)
-        d = generate_trial(cfg, 3)
-        assert np.array_equal(covariate[3], d.covariate)
-        assert np.array_equal(outcome[3], d.outcome)
+    def test_campaign_ends_with_the_first_rows_of_its_last_group(self, monkeypatch):
+        cfg = make_config(n_subjects=20, n_reps=_group_rows(20) + 37)
+        drawn = []
 
-    def test_smallest_uniform_decodes_to_finite_values(self):
-        # _rep_uniforms maps a draw of exactly 0 to 5e-324
-        cfg = make_config()
-        uniforms = _rep_uniforms(cfg, 0, 1)
-        uniforms[0, [0, 126]] = 5e-324  # a covariate draw and a noise draw
-        for values in _decode_trials(cfg, uniforms):
-            assert np.all(np.isfinite(values))
+        def recording(config, group, rows):
+            drawn.append((group, rows))
+            return _group_trials(config, group, rows)
+
+        monkeypatch.setattr(simulate, "_group_trials", recording)
+        run_campaign(cfg)
+        assert drawn == [(0, _group_rows(20)), (1, 37)]
+        # fewer rows of a group are a prefix of more
+        for part, whole in zip(_group_trials(cfg, 1, 37), _group_trials(cfg, 1, 1000)):
+            assert np.array_equal(part, whole[:37])
+
+    @pytest.mark.parametrize("n_subjects", [20, 126, 1008])
+    def test_generate_trial_is_its_campaign_row(self, n_subjects):
+        cfg = make_config(n_subjects=n_subjects, seed=7)
+        g = _group_rows(n_subjects)
+        for rep in (0, g - 1, g, 2**64 - 1):
+            group, row = divmod(rep, g)
+            key = np.array([cfg.seed, group], dtype=np.uint64)
+            z = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+                (row + 1, 2 * n_subjects))
+            trial = generate_trial(cfg, rep)
+            assert np.array_equal(trial.covariate, z[row, :n_subjects])
+            if rep < 2 * g:
+                covariate, outcome = _group_trials(cfg, group, g)
+                assert np.array_equal(trial.covariate, covariate[row])
+                assert np.array_equal(trial.outcome, outcome[row])
 
     def _pooled_rows(self, cfg, reps=1000):
-        uniforms = _rep_uniforms(cfg, 0, reps)
-        return _decode_trials(cfg, uniforms)
+        return _group_trials(cfg, 0, reps)
 
     def test_independent_when_rho_zero(self):
         cfg = make_config(n_subjects=1000, rho=0.0, tau=0.0)
@@ -144,8 +156,7 @@ class TestGenerateTrial:
             generate_trial(make_config(), -1)
 
     def test_rejects_rep_index_beyond_the_stream_key(self):
-        # rep indices are 64-bit; a huge one would overflow the Philox counter's
-        # advance() with a message that names nothing
+        # rep indices are 64-bit, as are the seed and the group in the Philox key
         cfg = make_config(n_subjects=20)
         with pytest.raises(DomainError, match="rep_index"):
             generate_trial(cfg, 2**64)
@@ -374,22 +385,32 @@ class TestRunCampaign:
         assert run_campaign(cfg) == run_campaign(cfg)
 
     @pytest.mark.parametrize("adjust", [True, False])
-    def test_independent_of_block_size(self, monkeypatch, adjust):
-        # 4096 + 37 reps at 2n = 40 uniforms per rep
+    def test_independent_of_fold_order(self, adjust):
+        # 4096 + 37 reps at 1638 rows per group: two whole groups and a partial one
         cfg = make_config(n_subjects=20, adjust=adjust, n_reps=4096 + 37)
+        critical = student_t_critical(cfg.alpha, 17 if adjust else 18)
+        rows = _group_rows(20)
+        results = [_run_group(cfg, critical, group, min(rows, cfg.n_reps - first))
+                   for group, first in enumerate(range(0, cfg.n_reps, rows))]
         default = run_campaign(cfg)
-        # one row per block; 7 and 1000 rows per block, each with a partial last
-        # block; the whole campaign in one block
-        for block_values in (40, 7 * 40 + 39, 1000 * 40, cfg.n_reps * 40):
-            monkeypatch.setattr(simulate, "_BLOCK_VALUES", block_values)
-            assert run_campaign(cfg) == default
+        assert _fold(cfg, results) == default
+        assert _fold(cfg, reversed(results)) == default
+        for seed in range(3):
+            shuffled = list(results)
+            np.random.default_rng(seed).shuffle(shuffled)
+            assert _fold(cfg, shuffled) == default
 
     @pytest.mark.parametrize("adjust, seed", [(True, 0), (False, 2)])
     def test_sums_are_correctly_rounded(self, adjust, seed):
-        # reference: every rep fitted at once, each sum rounded once by math.fsum
+        # reference: every group fitted, the reps pooled, each sum rounded once by
+        # math.fsum
         cfg = make_config(n_subjects=20, adjust=adjust, seed=seed, n_reps=4096 + 37)
-        uniforms = _rep_uniforms(cfg, 0, cfg.n_reps)
-        tau_hat, se, ok = simulate._fit_batch(*_decode_trials(cfg, uniforms), 10, adjust)
+        rows = _group_rows(20)
+        fits = [simulate._fit_batch(*_group_trials(cfg, group, min(rows, cfg.n_reps - first)),
+                                    10, adjust)
+                for group, first in enumerate(range(0, cfg.n_reps, rows))]
+        tau_hat, se, ok = (np.concatenate(parts) for parts in zip(*fits))
+        assert len(tau_hat) == cfg.n_reps
         critical = student_t_critical(cfg.alpha, 17 if adjust else 18)
         dev = (tau_hat[ok] - cfg.tau).tolist()
         n = len(dev)
@@ -414,7 +435,7 @@ class TestRunCampaign:
         assert simulate._exact_add([], np.array([math.inf, 1.0])) == [math.inf]
 
     def test_working_set_is_one_block(self):
-        # the campaign's 4096 x 2016 uniforms alone would be 63 MB
+        # the campaign's 4096 x 2016 normals alone would be 63 MB
         cfg = make_config(n_subjects=1008, tau=0.5 / math.sqrt(8.0), n_reps=4096)
         tracemalloc.start()
         try:
@@ -518,17 +539,19 @@ class TestRunCampaign:
         assert abs(res.empirical_se_tau_hat - se) <= 4.0 * se_of_sd
 
     @pytest.mark.parametrize("adjust, tau, expected", [
-        (True, 0.5, ("0x1.b2dbd194237fbp-3", "0x1.e953d72e6f6e0p-8", "0x1.ec9167d08495ap-2",
-                     "0x1.994da556fb668p-2", "0x1.8c97ef43f7248p-2", "0x1.0263760b260adp-2")),
-        (True, -0.4, ("0x1.54a6921735ee4p-3", "0x1.bd8f1709b6ac6p-8", "-0x1.ad0831c915040p-2",
-                      "0x1.994da556fb668p-2", "0x1.8c97ef43f7248p-2", "0x1.6d2989cc8aca6p-3")),
-        (False, 0.5, ("0x1.624dd2f1a9fbep-3", "0x1.c49469e8b1412p-8", "0x1.e82e57c9d1a89p-2",
-                      "0x1.c8b9eec0e781cp-2", "0x1.c9f25c5bfedd9p-2", "0x1.9b8e9583dfd39p-3")),
-        (False, -0.4, ("0x1.263ab596de8cap-3", "0x1.a3ae31c56afdbp-8", "-0x1.b16b41cfc7f12p-2",
-                       "0x1.c8b9eec0e781cp-2", "0x1.c9f25c5bfedd9p-2", "0x1.29ed7e1a235c4p-3")),
+        (True, 0.5, ("0x1.b7a32846ff514p-3", "0x1.eb478c0b8ad61p-8", "0x1.00d9845f59b2bp-1",
+                     "0x1.9488ab83b9088p-2", "0x1.8c97ef43f7248p-2", "0x1.0263760b260adp-2")),
+        (True, -0.4, ("0x1.31d5acb6f4651p-3", "0x1.aa7587de74393p-8", "-0x1.97e690dae6344p-2",
+                      "0x1.9488ab83b9088p-2", "0x1.8c97ef43f7248p-2", "0x1.6d2989cc8aca6p-3")),
+        (False, 0.5, ("0x1.6f46508dfea28p-3", "0x1.cb058db06c144p-8", "0x1.fcf9fae8989c6p-2",
+                      "0x1.cb95400195cf5p-2", "0x1.c9f25c5bfedd9p-2", "0x1.9b8e9583dfd39p-3")),
+        (False, -0.4, ("0x1.13cc1e098ead6p-3", "0x1.9873b93e8e671p-8", "-0x1.9c9f9eb100fd4p-2",
+                       "0x1.cb95400195cf5p-2", "0x1.c9f25c5bfedd9p-2", "0x1.29ed7e1a235c4p-3")),
     ])
     def test_results_are_pinned_bit_for_bit(self, adjust, tau, expected):
-        # a change that moves any simulated bit must update these and say which moved
+        # a change that moves any simulated bit must update these and say which moved;
+        # so must a numpy release whose ziggurat sampler draws other normals, which
+        # numpy's stream-compatibility policy allows across releases
         res = run_campaign(make_config(n_subjects=20, tau=tau, adjust=adjust,
                                        n_reps=3000, seed=11))
         floats = (res.rejection_rate, res.mc_stderr, res.mean_tau_hat,

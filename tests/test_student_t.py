@@ -24,16 +24,36 @@ class TestStudentTCritical:
     @pytest.mark.parametrize("alpha", [0.05, 1e-2, 1e-6, 1e-20, 1e-50, 1e-100, 1e-150,
                                        1e-154, 1e-155, 1e-200, 1e-300, 1e-310])
     def test_closed_forms_down_to_tiny_alpha(self, alpha):
-        # df=1: 1/tan(pi*alpha/2); df=2 as above. The bisection squares t, so a
-        # critical value past 2**511 (df = 1 below alpha ~ 9.5e-155, df = 2 at
-        # subnormal alpha) must raise, never return the overflow point sqrt(DBL_MAX)
+        # df=1: 1/tan(pi*alpha/2); df=2 as above, with alpha's root apart so that
+        # 2/alpha cannot overflow. Both are returned up to the float range, past where
+        # t^2 overflows (2**511); only a value that is itself past DBL_MAX (df = 1
+        # below alpha ~ 3.5e-309) raises
         for df, expected in ((1, 1.0 / math.tan(0.5 * math.pi * alpha)),
-                             (2, (1 - alpha) * math.sqrt(2.0 / (alpha * (2.0 - alpha))))):
-            if expected < 2.0**511:
+                             (2, (1 - alpha) * math.sqrt(2.0 / (2.0 - alpha)) / math.sqrt(alpha))):
+            if math.isfinite(expected):
                 assert student_t_critical(alpha, df) == pytest.approx(expected, rel=1e-10)
             else:
                 with pytest.raises(ArithmeticError, match=f"alpha = {alpha} and df = {df}"):
                     student_t_critical(alpha, df)
+
+    @pytest.mark.parametrize("df", [1, 2])
+    def test_closed_forms_match_scipy(self, df):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for alpha in (0.2, 0.1, 0.05, *(10.0**-k for k in range(2, 301))):
+            ref = float(scipy_stats.t.isf(alpha / 2.0, df))
+            assert student_t_critical(alpha, df) == pytest.approx(ref, rel=1e-13), alpha
+
+    def test_df1_above_one_half_uses_the_exact_complement(self):
+        # 1 - alpha is exact here, so tan(pi*(1 - alpha)/2) keeps the small value's digits
+        for alpha in (0.5, 0.9, 1.0 - 2.0**-20):
+            assert student_t_critical(alpha, 1) == pytest.approx(
+                math.tan(0.5 * math.pi * (1.0 - alpha)), rel=1e-15)
+
+    def test_bisection_is_pinned_from_df_3(self):
+        # the closed forms leave every df >= 3 to the bisection, bit for bit
+        got = [student_t_critical(a, df).hex() for a, df in ((0.05, 3), (0.05, 123),
+                                                             (1e-20, 1005))]
+        assert got == ["0x1.975a668940000p+1", "0x1.fabc7e60c0000p+0", "0x1.316da6d3c0000p+3"]
 
     def test_matches_scipy_closely(self):
         scipy_stats = pytest.importorskip("scipy.stats")
